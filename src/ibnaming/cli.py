@@ -72,6 +72,11 @@ def _sha256(path: Path) -> str:
     return "sha256:" + h.hexdigest()
 
 
+def _write_json(path, payload) -> None:
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
+                          encoding="utf-8")
+
+
 class _Run:
     """Collects inputs, notes, and outputs for the manifest."""
 
@@ -94,7 +99,7 @@ class _Run:
         return Path(path)
 
     def write_manifest(self, path) -> None:
-        manifest = {
+        _write_json(path, {
             "command": self.command,
             "tool_version": __version__,
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
@@ -104,15 +109,12 @@ class _Run:
             "inputs": self.inputs,
             "outputs": self.outputs,
             "notes": self.notes,
-        }
-        Path(path).write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        })
 
-
-def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
+    def write_manifest_beside(self, output) -> None:
+        """Write the manifest next to ``output``, as <output>.manifest.json."""
+        output = Path(output)
+        self.write_manifest(output.with_suffix(output.suffix + ".manifest.json"))
 
 
 def _load_space(run: _Run, space_path, need_spec: str) -> MeaningSpace:
@@ -186,7 +188,7 @@ def make_space(similarity, gamma, exclude_diagonal, features, familiarity, out, 
         if need_out:
             write_prior_csv(space.need, run.add_output(need_out))
     write_space_csv(space, run.add_output(out))
-    run.write_manifest(Path(out).with_suffix(Path(out).suffix + ".manifest.json"))
+    run.write_manifest_beside(out)
     click.echo(f"wrote {space.num_meanings}x{space.num_universe} space to {out}")
 
 
@@ -219,7 +221,7 @@ def make_prior(naming_paths, epsilon, space_path, out):
         weights.append(naming_weights_from_counts(counts, order))
     prior = li_prior(systems, epsilon=epsilon, meaning_weights=weights)
     write_prior_csv(prior, run.add_output(out))
-    run.write_manifest(Path(out).with_suffix(Path(out).suffix + ".manifest.json"))
+    run.write_manifest_beside(out)
     click.echo(f"wrote LI prior over {len(prior)} meanings to {out}")
 
 
@@ -323,7 +325,7 @@ def eval_cmd(system_path, system_format, space_path, need_spec, frontier_path, o
     )
     if out:
         _write_json(run.add_output(out), payload)
-        run.write_manifest(Path(out).with_suffix(Path(out).suffix + ".manifest.json"))
+        run.write_manifest_beside(out)
 
 
 def _frontier_csv(path) -> Path:
@@ -359,7 +361,7 @@ def baseline(system_path, system_format, space_path, need_spec, frontier_path,
     )
     if out:
         _write_json(run.add_output(out), summary.to_json_dict())
-        run.write_manifest(Path(out).with_suffix(Path(out).suffix + ".manifest.json"))
+        run.write_manifest_beside(out)
 
 
 def _two_system_inputs(run, system_a, system_b, fmt, need_spec):
@@ -396,7 +398,7 @@ def gnid_cmd(system_a, system_b, system_format, need_spec, out):
     click.echo(f"gnid {value!r}")
     if out:
         _write_json(run.add_output(out), {"gnid": value})
-        run.write_manifest(Path(out).with_suffix(Path(out).suffix + ".manifest.json"))
+        run.write_manifest_beside(out)
 
 
 @main.command("mixture")
@@ -420,7 +422,7 @@ def mixture(system_a, system_b, system_format, need_spec, weight, out):
     click.echo(f"mixture_complexity_bits {bits!r}")
     if out:
         _write_json(run.add_output(out), {"mixture_complexity_bits": bits, "weight": weight})
-        run.write_manifest(Path(out).with_suffix(Path(out).suffix + ".manifest.json"))
+        run.write_manifest_beside(out)
 
 
 @main.command("hierarchy")
@@ -452,16 +454,12 @@ def hierarchy(frontier_path, space_path, need_spec, ks, top_n, threshold,
     front = load_frontier(run.add_input(_frontier_csv(frontier_path)).parent, space=space)
     report = hierarchy_report(front, k_list, space, top_n=top_n, threshold=threshold)
     click.echo(report.to_text())
-    manifest_target = None
     if out_json:
         _write_json(run.add_output(out_json), report.to_json_dict())
-        manifest_target = Path(out_json)
     if out_text:
-        Path(run.add_output(out_text)).write_text(report.to_text(), encoding="utf-8")
-        manifest_target = manifest_target or Path(out_text)
-    if manifest_target is not None:
-        run.write_manifest(manifest_target.with_suffix(manifest_target.suffix
-                                                       + ".manifest.json"))
+        run.add_output(out_text).write_text(report.to_text(), encoding="utf-8")
+    if out_json or out_text:
+        run.write_manifest_beside(out_json or out_text)
 
 
 if __name__ == "__main__":

@@ -81,19 +81,30 @@ def load_frontier(path, space: MeaningSpace | None = None) -> Frontier:
     meta_path = base / FRONTIER_META
     if not meta_path.exists():
         raise ValidationError([f"{meta_path}: frontier metadata not found"])
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    config = SolverConfig.from_dict(meta["config"])
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        config = SolverConfig.from_dict(meta["config"])
+        fingerprint = meta["space_fingerprint"]
+        enc_dir = base / meta["encoders"] if meta.get("encoders") else None
+    except (ValueError, KeyError, TypeError, ValidationError) as e:
+        raise ValidationError([f"{meta_path}: malformed frontier metadata "
+                               f"({type(e).__name__}: {e})"]) from None
 
     with open(csv_path, newline="", encoding="utf-8") as f:
         rows = list(csv.reader(f))
-    if rows[0] != _COLUMNS:
-        raise ValidationError([f"{csv_path}: unexpected header {rows[0]}"])
+    if not rows or rows[0] != _COLUMNS:
+        raise ValidationError([f"{csv_path}: expected the header {','.join(_COLUMNS)}"])
 
-    enc_dir = base / meta["encoders"] if meta.get("encoders") else None
     need = space.need.mass if space is not None and space.need is not None else None
     points = []
     for i, row in enumerate(rows[1:]):
-        beta, c, a, obj = (float(x) for x in row[:4])
+        try:
+            if len(row) != len(_COLUMNS) or row[5] not in ("true", "false"):
+                raise ValueError(f"malformed row {row}")
+            beta, c, a, obj = (float(x) for x in row[:4])
+            effective_k, iterations = int(row[4]), int(row[6])
+        except ValueError as e:
+            raise ValidationError([f"{csv_path}, line {i + 2}: {e}"]) from None
         encoder = None
         word_mass = None
         if enc_dir is not None:
@@ -104,7 +115,7 @@ def load_frontier(path, space: MeaningSpace | None = None) -> Frontier:
                     word_mass = need @ encoder.encoder
         points.append(FrontierPoint(
             beta=beta, complexity_bits=c, accuracy_bits=a, objective_bits=obj,
-            effective_k=int(row[4]), encoder=encoder, word_mass=word_mass,
-            converged=row[5] == "true", iterations=int(row[6]),
+            effective_k=effective_k, encoder=encoder, word_mass=word_mass,
+            converged=row[5] == "true", iterations=iterations,
         ))
-    return Frontier(tuple(points), meta["space_fingerprint"], config)
+    return Frontier(tuple(points), fingerprint, config)

@@ -192,17 +192,3 @@ def ib_objective(sys: NamingSystem, space: MeaningSpace, beta: float) -> float:
         raise ValidationError([f"beta must be >= 0, got {beta}"])
     return complexity(sys, space.require_need()) - beta * accuracy(sys, space)
 
-
-def _distortion_nats(reps: np.ndarray, mhat: np.ndarray) -> np.ndarray:
-    """KL(m_c || m_hat_w) in nats for every (meaning, word) pair.
-
-    Pairs where the reconstruction misses the meaning's support come out
-    around 1e285, large enough that exp(-beta * d) underflows to an exact
-    zero for any positive beta.
-    """
-    lr = np.full_like(reps, LOG_ZERO)
-    np.log(reps, out=lr, where=reps > 0)
-    lh = np.full_like(mhat, LOG_ZERO)
-    np.log(mhat, out=lh, where=mhat > 0)
-    self_term = np.sum(reps * lr, axis=1)
-    return self_term[:, None] - reps @ lh.T

@@ -27,13 +27,12 @@ that accuracy in C and A, not only in F.
 Words whose marginal mass falls below the prune threshold are dropped
 mid-iteration (they never come back). Words with near-identical
 reconstructions are merged, after convergence and at doubling intervals
-during the iteration, and the loop re-entered. A snapshot guard keeps the
-lowest-F iterate against float-level wobble.
+during the iteration, and the loop re-entered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,9 +54,6 @@ DEFAULT_CATEGORY_MASS_THRESHOLD = 1e-5
 # distinct categories of the fixtures sit at least 3e-3 apart.
 DUPLICATE_ROW_TOL = 1e-6
 _MAX_MERGE_ROUNDS = 32
-# Alternating-direction refinement passes over the grid after the primary
-# sweep; passes stop early once no point improves.
-_MAX_REFINE_PASSES = 6
 # Log-encoder value of an exact zero of q(w|m).
 _LOG_FLOOR = -800.0
 # Entries below exp(_EXP_CUT) times their row maximum are set to exact zeros.
@@ -137,29 +133,14 @@ class SolverConfig:
             raise ValidationError(errors)
 
     def to_dict(self) -> dict:
-        return {
-            "beta_grid": list(self.beta_grid),
-            "max_clusters": self.max_clusters,
-            "convergence_tol": self.convergence_tol,
-            "max_iterations": self.max_iterations,
-            "mass_prune_threshold": self.mass_prune_threshold,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "anneal_direction": self.anneal_direction,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["beta_grid"] = list(self.beta_grid)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
-        return cls(
-            beta_grid=tuple(d["beta_grid"]),
-            max_clusters=d.get("max_clusters"),
-            convergence_tol=d.get("convergence_tol", 1e-10),
-            max_iterations=d.get("max_iterations", 30_000),
-            mass_prune_threshold=d.get("mass_prune_threshold", 1e-5),
-            restarts=d.get("restarts", 0),
-            seed=d.get("seed", 0),
-            anneal_direction=d.get("anneal_direction", "high-to-low"),
-        )
+        """Inverse of ``to_dict``; missing optional keys take their defaults."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def default_beta_grid(beta_max: float, num_betas: int, spacing: str = "log",
@@ -483,7 +464,6 @@ def _fixed_point_loop(ws: _Workspace, q: np.ndarray, labels: np.ndarray, beta: f
     """
     s = _plain_update(ws, _log_encoder(q), labels, beta, prune)
     evals = 1
-    best = s.state()
     accel = _Anderson()
     run: list[float] = []  # residuals along the current run of plain updates
     rho = 0.0  # largest steady contraction ratio of the plain update seen
@@ -531,14 +511,7 @@ def _fixed_point_loop(ws: _Workspace, q: np.ndarray, labels: np.ndarray, beta: f
             accel.clear()
             run = []
         s = s_new
-        if s.objective < best.objective:
-            best = s.state()
-    # float wobble can leave an earlier iterate lower; keep the best
-    state = s.state(evals, converged)
-    if best.objective < s.objective - 1e-12:
-        best.iterations, best.converged = evals, converged
-        state = best
-    return state
+    return s.state(evals, converged)
 
 
 def _merge_duplicate_words(state: _SolveState):
@@ -666,11 +639,13 @@ def anneal_frontier(space: MeaningSpace, config: SolverConfig) -> Frontier:
     tries ``config.restarts`` perturbed warm starts and keeps the lowest
     objective (ties broken by restart index).
 
-    Near cluster-merge transitions a single sweep shows hysteresis: it
-    crosses the transition late and records metastable points. Refinement
-    passes in alternating directions re-solve every point from its refined
-    neighbor and keep strictly better objectives, so the recorded frontier
-    is the lower envelope of the branches the sweep visited.
+    A single sweep shows hysteresis (Zaslavsky & Tishby, 2019): it crosses
+    cluster-merge transitions late, and on sparse spaces it can keep words
+    whose supports the update cannot merge, a metastable branch with F far
+    above the optimum. So one reverse pass follows, against the sweep
+    direction: it re-solves every point from the neighbor it has just
+    passed and keeps the candidate when its objective is lower, so each
+    point is the better of the two branches that reach it.
     """
     ws = _Workspace.for_space(space)
     n_m = space.num_meanings
@@ -701,19 +676,12 @@ def anneal_frontier(space: MeaningSpace, config: SolverConfig) -> Frontier:
         q, labels = state.q, state.labels
         states[gi] = state
 
-    ascending = high_to_low  # first refinement pass runs against the sweep
-    for _ in range(_MAX_REFINE_PASSES):
-        improved = False
-        indices = range(1, len(grid)) if ascending else range(len(grid) - 2, -1, -1)
-        for gi in indices:
-            src = states[gi - 1 if ascending else gi + 1]
-            cand = _solve_arrays(ws, src.q, src.labels, grid[gi], config)
-            if cand.objective < states[gi].objective - 1e-15:
-                states[gi] = cand
-                improved = True
-        if not improved:
-            break
-        ascending = not ascending
+    # the reverse pass, against the sweep direction
+    for gi in (range(1, len(grid)) if high_to_low else range(len(grid) - 2, -1, -1)):
+        src = states[gi - 1 if high_to_low else gi + 1]
+        cand = _solve_arrays(ws, src.q, src.labels, grid[gi], config)
+        if cand.objective < states[gi].objective - 1e-15:
+            states[gi] = cand
 
     points = tuple(
         _make_point(states[gi], grid[gi], word_names, space.meaning_labels)

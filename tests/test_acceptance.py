@@ -97,7 +97,9 @@ class TestCriterion1Properties:
                 assert abs(ib.gnid(relabeled, s2, space.need) - g12) <= 1e-9
 
     def test_frontier_monotone_concave(self):
-        with criterion(1, "frontier monotonicity and concavity over 200 instances"):
+        with criterion(1, "frontier monotonicity and concavity over 200 instances; "
+                          "every point a converged fixed point (continued iteration "
+                          "moves C and A by < 1e-8 bits)"):
             rng = np.random.default_rng(105)
             for _ in range(self.N):
                 space = random_space(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
@@ -105,6 +107,9 @@ class TestCriterion1Properties:
                                       max_iterations=4000)
                 front = ib.anneal_frontier(space, cfg)
                 assert front.validate() == []
+                for point in front.points:
+                    assert point.converged
+                    assert continued_ca_move(space, point) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,65 @@ class TestExitCodes:
     def test_unknown_subcommand_exits_two(self, runner):
         result = runner.invoke(main, ["transmogrify"])
         assert result.exit_code == 2
+
+
+def _replace_cell(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    lines[2] = "not-a-number" + lines[2][lines[2].index(","):]
+    return "".join(lines)
+
+
+def _short_row(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    lines[2] = ",".join(lines[2].split(",")[:3]) + "\n"
+    return "".join(lines)
+
+
+def _drop_config(text: str) -> str:
+    meta = json.loads(text)
+    del meta["config"]
+    return json.dumps(meta)
+
+
+class TestMalformedFrontier:
+    """A damaged frontier directory fails with exit code 1 and one line that
+    names the file, never with a traceback."""
+
+    CASES = {
+        "empty-csv": ("frontier.csv", lambda text: ""),
+        "non-numeric-cell": ("frontier.csv", _replace_cell),
+        "short-row": ("frontier.csv", _short_row),
+        "broken-meta-json": ("frontier_meta.json", lambda text: text[:-5]),
+        "meta-without-config": ("frontier_meta.json", _drop_config),
+        "meta-holds-a-list": ("frontier_meta.json", lambda text: "[1, 2]\n"),
+    }
+
+    @pytest.fixture(scope="class")
+    def pipeline(self, tmp_path_factory):
+        return build_container_pipeline(CliRunner(), tmp_path_factory.mktemp("malformed"),
+                                        num_betas=12)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_one_with_one_line(self, runner, tmp_path, pipeline, case):
+        name, damage = self.CASES[case]
+        front = tmp_path / "front"
+        shutil.copytree(pipeline["front"], front)
+        target = front / name
+        target.write_text(damage(target.read_text()))
+        common = ["--space", str(pipeline["space"]), "--need", str(pipeline["prior"]),
+                  "--frontier", str(front)]
+        system = ["--system", str(FIXTURES / "naming_a.tsv")]
+        for args in (["eval", *system, *common],
+                     ["baseline", *system, *common, "--samples", "3", "--seed", "1"],
+                     ["hierarchy", *common, "--k", "1"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1, (args[0], result.output)
+            assert isinstance(result.exception, SystemExit), result.exception
+            lines = result.output.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
+            assert name in lines[0]
+            if name == "frontier.csv" and case != "empty-csv":
+                assert "line 3" in lines[0]
 
 
 class TestDeterminism:

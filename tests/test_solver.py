@@ -62,6 +62,8 @@ class TestSolverConfig:
     def test_round_trips_through_dict(self):
         cfg = SolverConfig(beta_grid=(0.0, 1.0, 2.0), restarts=2, seed=7)
         assert SolverConfig.from_dict(cfg.to_dict()) == cfg
+        # optional keys fall back to the field defaults
+        assert SolverConfig.from_dict({"beta_grid": [0.0, 1.0]}) == SolverConfig((0.0, 1.0))
 
 
 class TestSolveAtBeta:
@@ -177,7 +179,10 @@ class TestAnnealFrontier:
             warnings.simplefilter("error", RuntimeWarning)
             regen_golden.animal_pipeline()
             space = random_space(rng, 5, 6, sparse=True)
-            anneal_frontier(space, small_config(default_beta_grid(1024, 30)))
+            front = anneal_frontier(space, small_config(default_beta_grid(1024, 30)))
+        # the sweep alone keeps support-locked words at low beta; the reverse
+        # pass must bring those points down to the one-word optimum
+        assert front.validate() == []
 
 
 class TestFixedPoint:
