@@ -57,13 +57,13 @@ from .ingest import (
     IterativeScalingError,
     NamingCounts,
     SimilarityMatrix,
-    align_naming_system,
     attach_need,
     li_prior,
     meaning_space_from_features,
     meaning_space_from_similarity,
     naming_system_from_counts,
     naming_weights_from_counts,
+    reorder_naming_system,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

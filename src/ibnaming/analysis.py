@@ -22,7 +22,7 @@ from .core import (
     NamingSystem,
     ValidationError,
 )
-from .measures import _align, accuracy, complexity, mutual_information_from_joint
+from .measures import _align, _listener, accuracy, complexity, mutual_information_from_joint
 from .solver import (
     DEFAULT_CATEGORY_MASS_THRESHOLD,
     Frontier,
@@ -254,22 +254,19 @@ def category_profiles(point: FrontierPoint, space: MeaningSpace, top_n: int = 5,
         raise ValidationError(["frontier point carries no encoder"])
     sys = point.encoder
     _align(sys, space)
-    p = space.require_need().mass
-    qw = p @ sys.encoder
-    joint = p[:, None] * sys.encoder
+    qw, joint, mhat = _listener(space.require_need().mass, sys.encoder, space.representations)
     profiles = []
     for j in np.argsort(-qw, kind="stable"):
         if qw[j] <= threshold:
             continue
         post = joint[:, j] / qw[j]
-        mhat = post @ space.representations
         m_top = np.argsort(-post, kind="stable")[:top_n]
-        f_top = np.argsort(-mhat, kind="stable")[:top_n]
+        f_top = np.argsort(-mhat[j], kind="stable")[:top_n]
         profiles.append(CategoryProfile(
             word_label=sys.word_labels[j],
             mass=float(qw[j]),
             top_meanings=tuple((space.meaning_labels[i], float(post[i])) for i in m_top),
-            top_features=tuple((space.universe_labels[i], float(mhat[i])) for i in f_top),
+            top_features=tuple((space.universe_labels[i], float(mhat[j, i])) for i in f_top),
         ))
     return tuple(profiles)
 

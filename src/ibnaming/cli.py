@@ -30,7 +30,6 @@ from .analysis import (
 from .core import IBNamingError, MeaningSpace, NamingSystem
 from .frontier_io import load_frontier, save_frontier
 from .ingest import (
-    align_naming_system,
     attach_need,
     li_prior,
     meaning_space_from_features,
@@ -43,6 +42,7 @@ from .ingest import (
     read_prior_csv,
     read_similarity_csv,
     read_space_csv,
+    reorder_naming_system,
     write_prior_csv,
     write_space_csv,
 )
@@ -315,7 +315,8 @@ def eval_cmd(system_path, system_format, space_path, need_spec, frontier_path, o
                         "space": space_path, "need": need_spec,
                         "frontier": str(frontier_path)})
     space = _load_space(run, space_path, need_spec)
-    sys = align_naming_system(_read_system(run, system_path, system_format), space)
+    sys = reorder_naming_system(_read_system(run, system_path, system_format),
+                                space.meaning_labels)
     front = load_frontier(run.add_input(_frontier_csv(frontier_path)).parent, space=space)
     report = fit_beta(sys, space, front)
     payload = report.to_json_dict()
@@ -351,7 +352,8 @@ def baseline(system_path, system_format, space_path, need_spec, frontier_path,
                             "frontier": str(frontier_path), "samples": samples,
                             "include_identity": include_identity}, seed=seed)
     space = _load_space(run, space_path, need_spec)
-    sys = align_naming_system(_read_system(run, system_path, system_format), space)
+    sys = reorder_naming_system(_read_system(run, system_path, system_format),
+                                space.meaning_labels)
     front = load_frontier(run.add_input(_frontier_csv(frontier_path)).parent, space=space)
     summary = permutation_baseline(sys, space, front, samples, seed,
                                    include_identity=include_identity)
@@ -366,7 +368,6 @@ def baseline(system_path, system_format, space_path, need_spec, frontier_path,
 
 def _two_system_inputs(run, system_a, system_b, fmt, need_spec):
     from .core import Distribution
-    from .ingest import reorder_naming_system
 
     sys_a = _read_system(run, system_a, fmt)
     sys_b = reorder_naming_system(_read_system(run, system_b, fmt), sys_a.meaning_labels)

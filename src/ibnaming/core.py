@@ -265,16 +265,19 @@ def validate_naming_system(sys: NamingSystem, space: MeaningSpace | None = None)
     _check_labels(sys.word_labels, sys.num_words, "word labels", errors)
     _check_labels(sys.meaning_labels, sys.num_meanings, "meaning labels", errors)
     if space is not None:
-        if sys.num_meanings != space.num_meanings:
-            errors.append(
-                f"encoder has {sys.num_meanings} meanings, space has {space.num_meanings}"
-            )
-        else:
-            for i, (a, b) in enumerate(zip(sys.meaning_labels, space.meaning_labels)):
-                if a != b:
-                    errors.append(f"meaning label mismatch at index {i}: {a!r} vs {b!r}")
-                    break
+        errors += _alignment_errors(sys, space)
     return errors
+
+
+def _alignment_errors(sys: NamingSystem, space: MeaningSpace) -> list[str]:
+    """The first way the encoder's meaning rows differ from the space's, if any."""
+    if sys.num_meanings != space.num_meanings:
+        return [f"encoder has {sys.num_meanings} meanings, space has {space.num_meanings}"]
+    if sys.meaning_labels != space.meaning_labels:
+        for i, (a, b) in enumerate(zip(sys.meaning_labels, space.meaning_labels)):
+            if a != b:
+                return [f"meaning label mismatch at index {i}: {a!r} vs {b!r}"]
+    return []
 
 
 def marginal_word_distribution(sys: NamingSystem, need: Distribution) -> Distribution:

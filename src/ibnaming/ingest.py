@@ -333,11 +333,6 @@ def reorder_naming_system(sys: NamingSystem, meaning_labels) -> NamingSystem:
     return NamingSystem(sys.encoder[perm], sys.word_labels, meaning_labels)
 
 
-def align_naming_system(sys: NamingSystem, space: MeaningSpace) -> NamingSystem:
-    """Reorder encoder rows to the space's meaning order; error on set mismatch."""
-    return reorder_naming_system(sys, space.meaning_labels)
-
-
 # ---------------------------------------------------------------------------
 # file IO
 

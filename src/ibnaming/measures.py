@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, IBNamingError, MeaningSpace, NamingSystem, ValidationError
+from .core import (
+    Distribution,
+    IBNamingError,
+    MeaningSpace,
+    NamingSystem,
+    ValidationError,
+    _alignment_errors,
+)
 
 # Finite stand-in for log(0) inside vectorized kernels. Multiplying it by a
 # genuine probability (>= 1e-15 after cleaning) yields magnitudes > 1e250,
@@ -21,6 +28,7 @@ from .core import Distribution, IBNamingError, MeaningSpace, NamingSystem, Valid
 # zero yields an exact zero, which is the 0 log 0 convention.
 LOG_ZERO = -1e300
 _VIOLATION = 1e250
+_LN2 = float(np.log(2.0))
 
 
 class SupportViolationError(IBNamingError):
@@ -84,44 +92,63 @@ class ListenerModel:
 
 
 def _align(sys: NamingSystem, space: MeaningSpace) -> None:
-    if sys.num_meanings != space.num_meanings:
-        raise ValidationError(
-            [f"encoder has {sys.num_meanings} meanings, space has {space.num_meanings}"]
-        )
-    if sys.meaning_labels != space.meaning_labels:
-        i = next(
-            i for i, (a, b) in enumerate(zip(sys.meaning_labels, space.meaning_labels)) if a != b
-        )
-        raise ValidationError(
-            [f"meaning label mismatch at index {i}: "
-             f"{sys.meaning_labels[i]!r} vs {space.meaning_labels[i]!r}"]
-        )
+    errors = _alignment_errors(sys, space)
+    if errors:
+        raise ValidationError(errors)
 
 
-def _listener_arrays(p: np.ndarray, enc: np.ndarray, reps: np.ndarray):
-    """Return (q(w), m_hat rows, defined mask); undefined rows are zeroed."""
+# ---------------------------------------------------------------------------
+# array kernels, in nats; the solver iterates on the same ones
+
+
+def _log(a: np.ndarray) -> np.ndarray:
+    """Natural log with exact zeros mapped to LOG_ZERO."""
+    out = np.full(a.shape, LOG_ZERO)
+    np.log(a, out=out, where=a > 0)
+    return out
+
+
+def _listener(p: np.ndarray, enc: np.ndarray, reps: np.ndarray):
+    """(q(w), p(m, w), m_hat rows) of the Bayesian listener; words with
+    q(w) = 0 get zero rows."""
     qw = p @ enc
-    defined = qw > 0
-    joint = p[:, None] * enc  # p(m, w)
-    post = np.divide(joint, qw[None, :], out=np.zeros_like(joint), where=defined[None, :])
-    mhat = post.T @ reps
-    mhat[~defined] = 0.0
-    return qw, mhat, defined
+    joint = p[:, None] * enc
+    # the column of a word with q(w) = 0 is all zeros, so dividing it by 1 zeroes its row
+    post = joint / np.where(qw > 0, qw, 1.0)[None, :]
+    return qw, joint, post.T @ reps
+
+
+def _complexity(joint: np.ndarray, log_enc: np.ndarray, log_qw: np.ndarray) -> float:
+    """I(M;W) = sum_{m,w} p(m, w) (log q(w|m) - log q(w))."""
+    return float(np.einsum("ij,ij->", joint, log_enc - log_qw[None, :]))
+
+
+def _accuracy(qw: np.ndarray, mhat: np.ndarray, log_mhat: np.ndarray,
+              log_m0: np.ndarray) -> float:
+    """I(W;U) = sum_w q(w) D[m_hat_w || m_0]; raises on support violation."""
+    kl = np.einsum("ij,ij->i", mhat, log_mhat) - mhat @ log_m0
+    if np.any(kl > _VIOLATION):
+        raise SupportViolationError("reconstruction lacks support where the target has mass")
+    return float(qw @ kl)
+
+
+def _distortion(reps: np.ndarray, self_nats: np.ndarray, log_mhat: np.ndarray) -> np.ndarray:
+    """D[m || m_hat_w] as a [meaning, word] matrix, from self_nats[m] =
+    sum_u m(u) log m(u)."""
+    d = reps @ log_mhat.T
+    np.subtract(self_nats[:, None], d, out=d)
+    return d
+
+
+# ---------------------------------------------------------------------------
+# measures in bits
 
 
 def bayesian_listener(sys: NamingSystem, space: MeaningSpace) -> ListenerModel:
     """m_hat_w(u) = sum_m q(m|w) m_c(u) with q(m|w) = p(m)q(w|m)/q(w)."""
     _align(sys, space)
-    p = space.require_need().mass
-    qw, mhat, defined = _listener_arrays(p, sys.encoder, space.representations)
-    return ListenerModel(mhat, Distribution(qw / qw.sum(), sys.word_labels), defined)
-
-
-def _complexity_arrays(p: np.ndarray, enc: np.ndarray, qw: np.ndarray) -> float:
-    joint = p[:, None] * enc
-    mask = joint > 0
-    ratio = np.divide(enc, qw[None, :], out=np.ones_like(enc), where=mask)
-    return float(np.sum(joint[mask] * np.log2(ratio[mask])))
+    qw, _, mhat = _listener(space.require_need().mass, sys.encoder, space.representations)
+    return ListenerModel(mhat, Distribution(qw / qw.sum(), sys.word_labels), qw > 0)
 
 
 def complexity(sys: NamingSystem, need: Distribution) -> float:
@@ -131,59 +158,28 @@ def complexity(sys: NamingSystem, need: Distribution) -> float:
             [f"need has {len(need)} entries, encoder has {sys.num_meanings} meanings"]
         )
     p = need.mass
-    qw = p @ sys.encoder
-    return _complexity_arrays(p, sys.encoder, qw)
-
-
-def _log2_with_zeros(a: np.ndarray) -> np.ndarray:
-    out = np.full_like(a, LOG_ZERO)
-    np.log2(a, out=out, where=a > 0)
-    return out
-
-
-def _kl_rows_bits(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """D[rows_i || ref] in bits for each row; raises on support violation."""
-    lr = _log2_with_zeros(rows)
-    lq = _log2_with_zeros(ref)
-    terms = rows * (lr - lq[None, :])  # exact 0 where rows == 0
-    kl = terms.sum(axis=1)
-    if np.any(kl > _VIOLATION):
-        raise SupportViolationError("reconstruction lacks support where the target has mass")
-    return kl
+    return _complexity(p[:, None] * sys.encoder, _log(sys.encoder), _log(p @ sys.encoder)) / _LN2
 
 
 def expected_distortion(sys: NamingSystem, space: MeaningSpace) -> float:
     """E[D[m || m_hat_w]] in bits, expectation under p(m) q(w|m)."""
     _align(sys, space)
-    p = space.require_need().mass
     reps = space.representations
-    qw, mhat, defined = _listener_arrays(p, sys.encoder, reps)
-    joint = p[:, None] * sys.encoder
-    lr = _log2_with_zeros(reps)
-    lh = _log2_with_zeros(mhat)
-    self_term = np.sum(reps * lr, axis=1)  # sum_u m log2 m, zeros skipped
-    cross = reps @ lh.T  # [meaning, word]
-    d = self_term[:, None] - cross
+    _, joint, mhat = _listener(space.require_need().mass, sys.encoder, reps)
+    d = _distortion(reps, np.sum(reps * _log(reps), axis=1), _log(mhat))
     mask = joint > 0
     if np.any(d[mask] > _VIOLATION):
         raise SupportViolationError(
             "a contributing (meaning, word) pair has mass outside its reconstruction's support"
         )
-    return float(np.sum(joint[mask] * d[mask]))
-
-
-def _accuracy_arrays(qw: np.ndarray, mhat: np.ndarray, m0: np.ndarray) -> float:
-    defined = qw > 0
-    kl = _kl_rows_bits(mhat[defined], m0)
-    return float(np.sum(qw[defined] * kl))
+    return float(np.sum(joint[mask] * d[mask])) / _LN2
 
 
 def accuracy(sys: NamingSystem, space: MeaningSpace) -> float:
     """I(W;U) = sum_w q(w) D[m_hat_w || m_0] in bits."""
     _align(sys, space)
-    p = space.require_need().mass
-    qw, mhat, _ = _listener_arrays(p, sys.encoder, space.representations)
-    return _accuracy_arrays(qw, mhat, space.prior_representation)
+    qw, _, mhat = _listener(space.require_need().mass, sys.encoder, space.representations)
+    return _accuracy(qw, mhat, _log(mhat), _log(space.prior_representation)) / _LN2
 
 
 def ib_objective(sys: NamingSystem, space: MeaningSpace, beta: float) -> float:

@@ -43,7 +43,7 @@ from .core import (
     ValidationError,
     _freeze,
 )
-from .measures import LOG_ZERO
+from .measures import _LN2, _accuracy, _complexity, _distortion, _listener, _log
 
 # Words count toward the effective category number when their marginal mass
 # strictly exceeds this.
@@ -58,7 +58,6 @@ _MAX_MERGE_ROUNDS = 32
 _LOG_FLOOR = -800.0
 # Entries below exp(_EXP_CUT) times their row maximum are set to exact zeros.
 _EXP_CUT = -700.0
-_LN2 = float(np.log(2.0))
 _EPS = float(np.finfo(np.float64).eps)
 # Rounding error of one update, in ulps of the terms it subtracts.
 _ROUND_OFF_ULPS = 8.0
@@ -237,16 +236,6 @@ class Frontier:
 # array-level machinery
 
 
-def _row_normalize(q: np.ndarray) -> np.ndarray:
-    sums = q.sum(axis=1, keepdims=True)
-    dead = sums[:, 0] <= 0
-    if np.any(dead):
-        q = q.copy()
-        q[dead] = 1.0 / q.shape[1]
-        sums = q.sum(axis=1, keepdims=True)
-    return q / sums
-
-
 @dataclass
 class _SolveState:
     q: np.ndarray
@@ -299,12 +288,7 @@ class _Workspace:
     def for_space(cls, space: MeaningSpace) -> "_Workspace":
         p = space.require_need().mass
         reps = space.representations
-        m0 = space.prior_representation
-        lr = np.full(reps.shape, LOG_ZERO)
-        np.log(reps, out=lr, where=reps > 0)
-        lm0 = np.full(m0.shape, LOG_ZERO)
-        np.log(m0, out=lm0, where=m0 > 0)
-        return cls(p, reps, lm0, np.sum(reps * lr, axis=1))
+        return cls(p, reps, _log(space.prior_representation), np.sum(reps * _log(reps), axis=1))
 
 
 @dataclass
@@ -335,7 +319,9 @@ def _plain_update(ws: _Workspace, x: np.ndarray, labels: np.ndarray, beta: float
     """Prune light words, evaluate the normalised log-encoder x (C, A, F),
     and take one plain update, with what the stopping rule needs of it."""
     q = _exp(x)
-    qw = ws.p @ q
+    # Few n x k arrays are alive at once: the first solve of a sweep, at
+    # full width, sets the sweep's peak memory.
+    qw, weights, mhat = _listener(ws.p, q, ws.reps)  # weights: p(m, w), the Fisher weights
     keep = (qw >= prune) if prune > 0 else (qw > 0)
     pruned = not keep.all()
     if pruned:
@@ -344,22 +330,15 @@ def _plain_update(ws: _Workspace, x: np.ndarray, labels: np.ndarray, beta: float
         x = _normalized(x[:, keep])
         q = _exp(x)
         labels = labels[keep]
-        qw = ws.p @ q
-    # Few n x k arrays are alive at once: the first solve of a sweep, at
-    # full width, sets the sweep's peak memory.
-    weights = ws.p[:, None] * q  # the joint p(m, w), also the Fisher weights
+        qw, weights, mhat = _listener(ws.p, q, ws.reps)
     log_qw = np.log(qw)
-    mhat = (weights / qw[None, :]).T @ ws.reps
-    grad = x - log_qw[None, :]  # dC / dlog q(w|m) in nats, up to row constants
-    c = float(np.einsum("ij,ij->", weights, grad)) / _LN2
-    bits = _centred_norm(weights, q, grad)
-    del grad
-    lh = np.full(mhat.shape, LOG_ZERO)
-    np.log(mhat, out=lh, where=mhat > 0)
-    a = float(qw @ (np.einsum("ij,ij->i", mhat, lh) - mhat @ ws.m0_log)) / _LN2
-    dist = ws.reps @ lh.T
+    c = _complexity(weights, x, log_qw) / _LN2
+    # dC / dlog q(w|m) is x - log q(w) in nats, up to row constants
+    bits = _centred_norm(weights, q, x - log_qw[None, :])
+    lh = _log(mhat)
+    a = _accuracy(qw, mhat, lh, ws.m0_log) / _LN2
+    dist = _distortion(ws.reps, ws.self_nats, lh)
     del lh
-    np.subtract(ws.self_nats[:, None], dist, out=dist)  # KL(m || m_hat_w), nats
     # dA / dlog q(w|m) is -dist / ln 2 up to row constants
     bits = max(bits, _centred_norm(weights, q, dist)) / _LN2
     g = dist * -beta
@@ -623,7 +602,8 @@ def _identity_encoder(n_meanings: int, k: int) -> np.ndarray:
 
 
 def _perturbed(q: np.ndarray, rng: np.random.Generator, sigma: float = 0.1) -> np.ndarray:
-    return _row_normalize(q * np.exp(sigma * rng.standard_normal(q.shape)))
+    q = q * np.exp(sigma * rng.standard_normal(q.shape))
+    return q / q.sum(axis=1, keepdims=True)
 
 
 def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:

@@ -12,7 +12,9 @@ from ibnaming import (
     NamingSystem,
     SolverConfig,
     ValidationError,
+    accuracy,
     anneal_frontier,
+    complexity,
     default_beta_grid,
     effective_category_count,
     fixed_point_delta,
@@ -92,10 +94,19 @@ class TestSolveAtBeta:
             assert point.objective_bits <= best[0] + 1e-3
 
     def test_objective_never_exceeds_init(self, rng):
+        cases = []
         for _ in range(30):
             space = random_space(rng)
-            init = random_system(rng, space)
-            beta = float(rng.uniform(0, 8))
+            cases.append((space, random_system(rng, space), float(rng.uniform(0, 8))))
+        # two meanings needed less than the prune threshold: pruning their words
+        # lifts F above F(init), so the unpruned retry has to keep the promise
+        space = random_space(rng, 6, 6)
+        need = Distribution.create([0.25, 0.25, 0.25, 0.25 - 2e-6, 1e-6, 1e-6],
+                                   space.meaning_labels)
+        space = MeaningSpace.create(space.representations, space.universe_labels,
+                                    space.meaning_labels, need)
+        cases.append((space, identity_system(space), 1000.0))
+        for space, init, beta in cases:
             point = solve_at_beta(space, beta, init, small_config((max(beta, 0.1),)))
             f_init = ib_objective(init, space, beta)
             assert point.objective_bits <= f_init + 1e-9
@@ -137,10 +148,17 @@ class TestAnnealFrontier:
             assert p1.encoder.encoder.tobytes() == p2.encoder.encoder.tobytes()
 
     def test_monotone_and_concave(self, rng):
-        for _ in range(5):
-            space = random_space(rng)
+        for sparse in (False,) * 5 + (True,) * 3:
+            space = random_space(rng, sparse=sparse)
             front = anneal_frontier(space, small_config(default_beta_grid(32, 40)))
             assert front.validate() == []
+            # the solver and the measures agree on every recorded point
+            for point in front.points:
+                assert abs(point.complexity_bits
+                           - complexity(point.encoder, space.need)) <= 1e-12
+                assert abs(point.accuracy_bits - accuracy(point.encoder, space)) <= 1e-12
+                assert abs(point.objective_bits
+                           - ib_objective(point.encoder, space, point.beta)) <= 1e-12
 
     def test_no_point_dominated(self, rng):
         space = random_space(rng, 5, 6)
