@@ -27,6 +27,7 @@ from .measures import (
 from .solver import (
     DEFAULT_CATEGORY_MASS_THRESHOLD,
     CategorySelectionError,
+    FingerprintMismatchError,
     Frontier,
     FrontierPoint,
     SolverConfig,
@@ -42,7 +43,6 @@ from .analysis import (
     BaselineSummary,
     CategoryProfile,
     EfficiencyReport,
-    FingerprintMismatchError,
     HierarchyLayer,
     HierarchyReport,
     category_profiles,

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     Distribution,
-    IBNamingError,
     MeaningSpace,
     NamingSystem,
     ValidationError,
@@ -27,13 +26,10 @@ from .solver import (
     DEFAULT_CATEGORY_MASS_THRESHOLD,
     Frontier,
     FrontierPoint,
+    _check_space,
     _stream,
     select_most_informative_with_k,
 )
-
-
-class FingerprintMismatchError(IBNamingError):
-    """The frontier was computed on a different meaning space."""
 
 
 @dataclass(frozen=True)
@@ -113,11 +109,7 @@ def fit_beta(sys: NamingSystem, space: MeaningSpace, frontier: Frontier) -> Effi
     Ties go to the smaller beta. The gNID is measured against the matched
     point's encoder, which must have been kept with the frontier.
     """
-    if frontier.space_fingerprint != space.fingerprint:
-        raise FingerprintMismatchError(
-            "frontier was computed on a different meaning space "
-            f"({frontier.space_fingerprint[:12]}... vs {space.fingerprint[:12]}...)"
-        )
+    _check_space(frontier.space_fingerprint, space)
     if not frontier.points:
         raise ValidationError(["frontier has no points"])
     _align(sys, space)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .core import MeaningSpace, ValidationError
 from .ingest import _fmt, read_encoder_csv, write_encoder_csv
-from .solver import Frontier, FrontierPoint, SolverConfig
+from .solver import Frontier, FrontierPoint, SolverConfig, _check_space
 
 FRONTIER_CSV = "frontier.csv"
 FRONTIER_META = "frontier_meta.json"
@@ -69,9 +69,9 @@ def save_frontier(frontier: Frontier, out_dir, write_encoders: bool = True) -> d
 def load_frontier(path, space: MeaningSpace | None = None) -> Frontier:
     """Load a frontier directory (or its frontier.csv path).
 
-    Encoders are read from the sidecar when present. Word masses are only
-    recoverable with the need distribution, so pass the meaning space if
-    effective-category queries or hierarchy selection are needed.
+    Encoders are read from the sidecar, if the frontier has one. Pass the
+    meaning space the frontier was computed on (any other is rejected) to
+    recover word masses for effective-category queries and hierarchies.
     """
     path = Path(path)
     base = path.parent if path.is_file() else path
@@ -84,18 +84,20 @@ def load_frontier(path, space: MeaningSpace | None = None) -> Frontier:
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         config = SolverConfig.from_dict(meta["config"])
-        fingerprint = meta["space_fingerprint"]
+        fingerprint = str(meta["space_fingerprint"])
         enc_dir = base / meta["encoders"] if meta.get("encoders") else None
     except (ValueError, KeyError, TypeError, ValidationError) as e:
         raise ValidationError([f"{meta_path}: malformed frontier metadata "
                                f"({type(e).__name__}: {e})"]) from None
+    if space is not None:
+        _check_space(fingerprint, space)
 
     with open(csv_path, newline="", encoding="utf-8") as f:
         rows = list(csv.reader(f))
     if not rows or rows[0] != _COLUMNS:
         raise ValidationError([f"{csv_path}: expected the header {','.join(_COLUMNS)}"])
 
-    need = space.need.mass if space is not None and space.need is not None else None
+    need = space.need.mass if space is not None else None
     points = []
     for i, row in enumerate(rows[1:]):
         try:
@@ -108,11 +110,9 @@ def load_frontier(path, space: MeaningSpace | None = None) -> Frontier:
         encoder = None
         word_mass = None
         if enc_dir is not None:
-            enc_path = enc_dir / f"point_{i:05d}.csv"
-            if enc_path.exists():
-                encoder = read_encoder_csv(enc_path)
-                if need is not None:
-                    word_mass = need @ encoder.encoder
+            encoder = read_encoder_csv(enc_dir / f"point_{i:05d}.csv")
+            if need is not None:
+                word_mass = need @ encoder.encoder
         points.append(FrontierPoint(
             beta=beta, complexity_bits=c, accuracy_bits=a, objective_bits=obj,
             effective_k=effective_k, encoder=encoder, word_mass=word_mass,

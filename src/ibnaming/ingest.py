@@ -85,17 +85,15 @@ class NamingCounts:
             if c < 0:
                 errors.append(f"negative count {c} for ({m!r}, {w!r})")
             clean.append((str(m).strip(), str(w).strip(), c))
-        totals: dict[str, int] = {}
-        for m, _, c in clean:
-            totals[m] = totals.get(m, 0) + c
-        for m, t in totals.items():
+        counts = cls(tuple(clean), condition)
+        for m, t in counts.meaning_totals().items():
             if t < 1:
                 errors.append(f"meaning {m!r} has zero total count")
         if not clean:
             errors.append("no count rows")
         if errors:
             raise ValidationError(errors)
-        return cls(tuple(clean), condition)
+        return counts
 
     def meaning_totals(self) -> dict[str, int]:
         totals: dict[str, int] = {}
@@ -454,37 +452,37 @@ def write_prior_csv(d: Distribution, path) -> None:
             w.writerow([lab, _fmt(x)])
 
 
-def read_space_csv(path, notes: list[str] | None = None) -> MeaningSpace:
+def _read_matrix_csv(path, create, notes: list[str] | None):
+    """Space or encoder CSV, built by ``create(values, column_labels, meaning_labels)``."""
     path = Path(path)
     rows = _read_rows(path)
-    universe = [c.strip() for c in rows[0][1:]]
+    columns = [c.strip() for c in rows[0][1:]]
     meanings = [row[0].strip() for row in rows[1:]]
     values = _float_matrix(rows, path)
     _note_renormalized(values.sum(axis=1), path, notes)
-    return MeaningSpace.create(values, universe, meanings, need=None)
+    return create(values, columns, meanings)
+
+
+def _write_matrix_csv(path, values: np.ndarray, columns, meanings) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["meaning", *columns])
+        for lab, row in zip(meanings, values):
+            w.writerow([lab, *(_fmt(x) for x in row)])
+
+
+def read_space_csv(path, notes: list[str] | None = None) -> MeaningSpace:
+    return _read_matrix_csv(path, MeaningSpace.create, notes)
 
 
 def write_space_csv(space: MeaningSpace, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["meaning", *space.universe_labels])
-        for lab, row in zip(space.meaning_labels, space.representations):
-            w.writerow([lab, *(_fmt(x) for x in row)])
+    _write_matrix_csv(path, space.representations, space.universe_labels,
+                      space.meaning_labels)
 
 
 def read_encoder_csv(path, notes: list[str] | None = None) -> NamingSystem:
-    path = Path(path)
-    rows = _read_rows(path)
-    words = [c.strip() for c in rows[0][1:]]
-    meanings = [row[0].strip() for row in rows[1:]]
-    values = _float_matrix(rows, path)
-    _note_renormalized(values.sum(axis=1), path, notes)
-    return NamingSystem.create(values, words, meanings)
+    return _read_matrix_csv(path, NamingSystem.create, notes)
 
 
 def write_encoder_csv(sys: NamingSystem, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["meaning", *sys.word_labels])
-        for lab, row in zip(sys.meaning_labels, sys.encoder):
-            w.writerow([lab, *(_fmt(x) for x in row)])
+    _write_matrix_csv(path, sys.encoder, sys.word_labels, sys.meaning_labels)

@@ -26,8 +26,8 @@ that accuracy in C and A, not only in F.
 
 Words whose marginal mass falls below the prune threshold are dropped
 mid-iteration (they never come back). Words with near-identical
-reconstructions are merged, after convergence and at doubling intervals
-during the iteration, and the loop re-entered.
+reconstructions are merged, when the iteration would stop and at doubling
+intervals during it, and a fresh pass starts on the merged encoder.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ DEFAULT_CATEGORY_MASS_THRESHOLD = 1e-5
 # not move, so the stopping rule leaves such words up to ~1e-7 apart, while
 # distinct categories of the fixtures sit at least 3e-3 apart.
 DUPLICATE_ROW_TOL = 1e-6
-_MAX_MERGE_ROUNDS = 32
 # Log-encoder value of an exact zero of q(w|m).
 _LOG_FLOOR = -800.0
 # Entries below exp(_EXP_CUT) times their row maximum are set to exact zeros.
@@ -82,6 +81,10 @@ class CategorySelectionError(IBNamingError):
     """No frontier point with the requested number of effective categories."""
 
 
+class FingerprintMismatchError(IBNamingError):
+    """The frontier was computed on a different meaning space."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for one frontier computation.
@@ -94,8 +97,9 @@ class SolverConfig:
     evaluation order. Iteration at each beta stops once the estimated
     further movement of complexity and accuracy under plain updates is
     below ``convergence_tol`` bits, or once the update's residual is at its
-    rounding error (see the module docstring). ``max_iterations`` caps the
-    evaluations of the update map per beta, accelerated and plain alike.
+    rounding error (see the module docstring). ``max_iterations`` is a hard
+    cap on the evaluations of the update map per beta, accelerated and plain
+    alike; a point that reaches it is recorded as last evaluated, unconverged.
     """
 
     beta_grid: tuple[float, ...]
@@ -232,6 +236,15 @@ class Frontier:
         return errors
 
 
+def _check_space(fingerprint: str, space: MeaningSpace) -> None:
+    """Reject a space other than the one a frontier was computed on."""
+    if fingerprint != space.fingerprint:
+        raise FingerprintMismatchError(
+            "frontier was computed on a different meaning space "
+            f"({fingerprint[:12]}... vs {space.fingerprint[:12]}...)"
+        )
+
+
 # ---------------------------------------------------------------------------
 # array-level machinery
 
@@ -241,12 +254,12 @@ class _SolveState:
     q: np.ndarray
     labels: np.ndarray
     qw: np.ndarray
-    mhat: np.ndarray
     complexity: float
     accuracy: float
     objective: float
     iterations: int
     converged: bool
+    pruned: bool  # some evaluation dropped a word
 
 
 def _normalized(logits: np.ndarray) -> np.ndarray:
@@ -309,9 +322,9 @@ class _Step:
     round_off: float  # Fisher norm of the rounding error of the update
     pruned: bool
 
-    def state(self, iterations: int = 0, converged: bool = False) -> _SolveState:
-        return _SolveState(self.q, self.labels, self.qw, self.mhat, self.complexity,
-                           self.accuracy, self.objective, iterations, converged)
+    def state(self, iterations: int, converged: bool, pruned: bool) -> _SolveState:
+        return _SolveState(self.q, self.labels, self.qw, self.complexity, self.accuracy,
+                           self.objective, iterations, converged, pruned)
 
 
 def _plain_update(ws: _Workspace, x: np.ndarray, labels: np.ndarray, beta: float,
@@ -433,69 +446,81 @@ class _Anderson:
 
 
 def _fixed_point_loop(ws: _Workspace, q: np.ndarray, labels: np.ndarray, beta: float,
-                      tol: float, budget: int, prune: float) -> _SolveState:
+                      config: SolverConfig, prune: float) -> _SolveState:
     """Iterate the update map at one beta from the encoder q.
 
     Steps are Anderson-mixed, except that a run of plain updates confirms
     a candidate stop, and that a mixed step which raises F (beyond its
     rounding) is replaced by the plain step. The stopping rule is described
-    in the module docstring; ``budget`` counts evaluations of the map.
+    in the module docstring. Duplicate words, looked for at a candidate stop
+    and 16, 32, 64, ... evaluations into a pass, leave directions in which
+    nothing moves and which slow the mixing down: they are merged and a
+    fresh pass starts on the merged encoder. At ``max_iterations``
+    evaluations over all passes the last evaluated state is returned.
     """
-    s = _plain_update(ws, _log_encoder(q), labels, beta, prune)
-    evals = 1
-    accel = _Anderson()
-    run: list[float] = []  # residuals along the current run of plain updates
-    rho = 0.0  # largest steady contraction ratio of the plain update seen
-    next_check = _DUPLICATE_CHECK
-    converged = False
+    tol, budget = config.convergence_tol, config.max_iterations
+    evals = 0
+    pruned = False
     while True:
-        if evals >= next_check:
-            # Words that became duplicates leave directions in which nothing
-            # moves and which slow the mixing down; stop so that the caller
-            # merges them and iterates on.
-            next_check *= 2
-            if _merge_duplicate_words(s.state()) is not None:
-                return s.state(evals, False)
-        run.append(s.residual)
-        steady = False
-        if len(run) >= 3 and run[-3] > 0 and run[-2] > 0:
-            r1, r2 = run[-2] / run[-3], run[-1] / run[-2]
-            steady = r2 < 1 and abs(r2 - r1) <= _STEADY_SPREAD * (1 - r2)
-            if steady:
-                rho = max(rho, r2)
-        tail = s.bits * s.residual / (1 - rho)  # Aitken estimate of the further move of C and A
-        if s.residual <= s.round_off or (steady and tail < tol):
-            converged = True
-            break
-        if evals >= budget:
-            break
-        accel.push(s.f, s.g)
-        s_new = None
-        if accel.depth and not (tail < tol and len(run) <= _MAX_CONFIRM_STEPS):
-            s_new = _plain_update(ws, _normalized(accel.mix(ws.p[:, None] * s.q, s.f, s.g)),
-                                  s.labels, beta, prune)
-            evals += 1
-            run = []
-            if s_new.objective > s.objective + _F_SLACK * (abs(s.complexity)
-                                                           + beta * abs(s.accuracy)):
-                s_new = None  # the mixed step raised F: take the plain step instead
+        # A fresh pass: new Anderson history, run, rho and checkpoints; the
+        # finished pass's arrays go before the merged encoder is evaluated.
+        s = s_new = None
+        accel = _Anderson()
+        run: list[float] = []  # residuals along the current run of plain updates
+        rho = 0.0  # largest steady contraction ratio of the plain update seen
+        start = evals
+        next_check = _DUPLICATE_CHECK
+        s = _plain_update(ws, _log_encoder(q), labels, beta, prune)
+        evals += 1
+        while True:
+            pruned |= s.pruned
+            checkpoint = evals - start >= next_check
+            if checkpoint:
+                next_check *= 2
+            run.append(s.residual)
+            steady = False
+            if len(run) >= 3 and run[-3] > 0 and run[-2] > 0:
+                r1, r2 = run[-2] / run[-3], run[-1] / run[-2]
+                steady = r2 < 1 and abs(r2 - r1) <= _STEADY_SPREAD * (1 - r2)
+                if steady:
+                    rho = max(rho, r2)
+            tail = s.bits * s.residual / (1 - rho)  # Aitken estimate of the further move of C and A
+            stop = s.residual <= s.round_off or (steady and tail < tol)
+            merged = _merge_duplicate_words(s) if checkpoint or stop else None
+            if merged is not None and evals < budget:
+                break
+            if stop and merged is None:
+                return s.state(evals, True, pruned)
+            if evals >= budget:
+                return s.state(evals, False, pruned)
+            accel.push(s.f, s.g)
+            s_new = None
+            if accel.depth and not (tail < tol and len(run) <= _MAX_CONFIRM_STEPS):
+                s_new = _plain_update(ws, _normalized(accel.mix(ws.p[:, None] * s.q, s.f, s.g)),
+                                      s.labels, beta, prune)
+                evals += 1
+                run = []
+                if s_new.objective > s.objective + _F_SLACK * (abs(s.complexity)
+                                                               + beta * abs(s.accuracy)):
+                    pruned |= s_new.pruned
+                    s_new = None  # the mixed step raised F: take the plain step instead
+                    accel.clear()
+                    run = [s.residual]
+                    if evals >= budget:
+                        return s.state(evals, False, pruned)
+            if s_new is None:
+                s_new = _plain_update(ws, s.g, s.labels, beta, prune)
+                evals += 1
+            if s_new.pruned:
                 accel.clear()
-                run = [s.residual]
-                if evals >= budget:
-                    break
-        if s_new is None:
-            s_new = _plain_update(ws, s.g, s.labels, beta, prune)
-            evals += 1
-        if s_new.pruned:
-            accel.clear()
-            run = []
-        s = s_new
-    return s.state(evals, converged)
+                run = []
+            s = s_new
+        q, labels = merged
 
 
-def _merge_duplicate_words(state: _SolveState):
+def _merge_duplicate_words(s: _Step):
     """Union words whose reconstructions agree within DUPLICATE_ROW_TOL."""
-    k = state.q.shape[1]
+    k = s.q.shape[1]
     if k <= 1:
         return None
     parent = list(range(k))
@@ -506,7 +531,7 @@ def _merge_duplicate_words(state: _SolveState):
             x = parent[x]
         return x
 
-    mhat = state.mhat
+    mhat = s.mhat
     for i in range(k - 1):
         close = np.nonzero(np.max(np.abs(mhat[i + 1:] - mhat[i]), axis=1) < DUPLICATE_ROW_TOL)[0]
         for off in close:
@@ -524,36 +549,20 @@ def _merge_duplicate_words(state: _SolveState):
     labels = []
     for r in order:
         members = groups[r]
-        cols.append(state.q[:, members].sum(axis=1))
-        rep = members[int(np.argmax(state.qw[members]))]
-        labels.append(state.labels[rep])
+        cols.append(s.q[:, members].sum(axis=1))
+        rep = members[int(np.argmax(s.qw[members]))]
+        labels.append(s.labels[rep])
     return np.stack(cols, axis=1), np.asarray(labels)
 
 
 def _solve_arrays(ws: _Workspace, q0: np.ndarray, labels0: np.ndarray, beta: float,
                   config: SolverConfig) -> _SolveState:
-    f_init = _plain_update(ws, _log_encoder(q0), labels0, beta, 0.0).objective
-    prune = config.mass_prune_threshold
-    tol = config.convergence_tol
-
-    def run(prune_thr: float) -> _SolveState:
-        state = _fixed_point_loop(ws, q0, labels0, beta, tol,
-                                  config.max_iterations, prune_thr)
-        total = state.iterations
-        for _ in range(_MAX_MERGE_ROUNDS):
-            merged = _merge_duplicate_words(state)
-            if merged is None:
-                break
-            budget = max(1, config.max_iterations - total)
-            state = _fixed_point_loop(ws, merged[0], merged[1], beta, tol, budget, prune_thr)
-            total += state.iterations
-        state.iterations = total
-        return state
-
-    state = run(prune)
-    if prune > 0 and state.objective > f_init + 1e-9:
+    state = _fixed_point_loop(ws, q0, labels0, beta, config, config.mass_prune_threshold)
+    # Unless some evaluation pruned a word, the unpruned run would repeat this one.
+    if state.pruned and config.mass_prune_threshold > 0 and state.objective > (
+            _plain_update(ws, _log_encoder(q0), labels0, beta, 0.0).objective + 1e-9):
         # pruning lifted the objective past the warm start; retry unpruned
-        alt = run(0.0)
+        alt = _fixed_point_loop(ws, q0, labels0, beta, config, 0.0)
         if alt.objective < state.objective:
             state = alt
     return state

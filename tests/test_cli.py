@@ -115,12 +115,39 @@ class TestExitCodes:
         other_space = tmp_path / "other_space.csv"
         run_ok(runner, ["make-space", "--similarity", str(FIXTURES / "similarity.csv"),
                         "--gamma", "0.5", "--out", str(other_space)])
-        result = runner.invoke(main, ["eval", "--system", str(FIXTURES / "naming_a.tsv"),
-                                      "--space", str(other_space),
-                                      "--need", str(paths["prior"]),
-                                      "--frontier", str(paths["front"])])
-        assert result.exit_code == 1
-        assert "different meaning space" in result.output
+        # the first 9 of the 10 meanings, and the naming system restricted to them
+        similarity = (FIXTURES / "similarity.csv").read_text().splitlines()
+        small_similarity = tmp_path / "similarity9.csv"
+        small_similarity.write_text(
+            "".join(",".join(line.split(",")[:10]) + "\n" for line in similarity[:10]))
+        small_space = tmp_path / "space9.csv"
+        run_ok(runner, ["make-space", "--similarity", str(small_similarity),
+                        "--out", str(small_space)])
+        small_naming = tmp_path / "naming9.tsv"
+        small_naming.write_text("".join(
+            line + "\n" for line in (FIXTURES / "naming_a.tsv").read_text().splitlines()
+            if not line.startswith("c09")))
+        damaged = tmp_path / "damaged_front"
+        shutil.copytree(paths["front"], damaged)
+        meta = json.loads((damaged / "frontier_meta.json").read_text())
+        meta["space_fingerprint"] = 5
+        (damaged / "frontier_meta.json").write_text(json.dumps(meta))
+        full_naming = FIXTURES / "naming_a.tsv"
+        for space, need, naming, front in (
+                (other_space, paths["prior"], full_naming, paths["front"]),
+                (paths["space"], "uniform", full_naming, paths["front"]),  # the wrong need
+                (small_space, "uniform", small_naming, paths["front"]),
+                (paths["space"], paths["prior"], full_naming, damaged)):
+            common = ["--space", str(space), "--need", str(need), "--frontier", str(front)]
+            system = ["--system", str(naming)]
+            for args in (["eval", *system, *common],
+                         ["baseline", *system, *common, "--samples", "3", "--seed", "1"],
+                         ["hierarchy", *common, "--k", "1"]):
+                result = runner.invoke(main, args)
+                assert result.exit_code == 1, (args, result.output)
+                lines = result.output.strip().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
+                assert "different meaning space" in lines[0]
 
     def test_baseline_requires_seed(self, runner, tmp_path):
         result = runner.invoke(main, ["baseline", "--system", "x", "--space", "y",
@@ -180,6 +207,7 @@ class TestMalformedFrontier:
         "broken-meta-json": ("frontier_meta.json", lambda text: text[:-5]),
         "meta-without-config": ("frontier_meta.json", _drop_config),
         "meta-holds-a-list": ("frontier_meta.json", lambda text: "[1, 2]\n"),
+        "missing-encoder-file": ("encoders/point_00003.csv", None),
     }
 
     @pytest.fixture(scope="class")
@@ -193,7 +221,10 @@ class TestMalformedFrontier:
         front = tmp_path / "front"
         shutil.copytree(pipeline["front"], front)
         target = front / name
-        target.write_text(damage(target.read_text()))
+        if damage is None:
+            target.unlink()
+        else:
+            target.write_text(damage(target.read_text()))
         common = ["--space", str(pipeline["space"]), "--need", str(pipeline["prior"]),
                   "--frontier", str(front)]
         system = ["--system", str(FIXTURES / "naming_a.tsv")]

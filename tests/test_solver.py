@@ -128,6 +128,18 @@ class TestSolveAtBeta:
         cfg = SolverConfig(beta_grid=(2.0,), max_iterations=1, convergence_tol=1e-14)
         point = solve_at_beta(space, 2.0, identity_system(space), cfg)
         assert point.converged is False
+        # duplicate words from the first evaluation on: running out of budget
+        # must not buy a merge and one more evaluation
+        reps = random_space(rng, 6, 5).representations.copy()
+        reps[1], reps[3] = reps[0], reps[2]
+        labels = tuple(f"m{i}" for i in range(6))
+        space = MeaningSpace.create(reps, tuple(f"u{i}" for i in range(5)), labels,
+                                    Distribution.uniform(labels))
+        for max_iterations in (1, 2):
+            cfg = SolverConfig(beta_grid=(5.0,), max_iterations=max_iterations)
+            point = solve_at_beta(space, 5.0, identity_system(space), cfg)
+            assert point.converged is False
+            assert point.iterations <= max_iterations
 
 
 class TestAnnealFrontier:
