@@ -27,7 +27,6 @@ from .solver import (
     Frontier,
     FrontierPoint,
     _check_space,
-    _stream,
     select_most_informative_with_k,
 )
 
@@ -199,7 +198,8 @@ def permutation_baseline(sys: NamingSystem, space: MeaningSpace, frontier: Front
         if include_identity and i == 0:
             perm = np.arange(n)
         else:
-            perm = _stream(seed, (i,)).permutation(n)
+            stream = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+            perm = np.random.default_rng(stream).permutation(n)
         permuted = NamingSystem(sys.encoder[perm], sys.word_labels, sys.meaning_labels)
         report = fit_beta(permuted, space, frontier)
         eps[i] = report.inefficiency_bits

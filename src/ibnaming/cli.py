@@ -4,8 +4,8 @@ naming systems, and report category hierarchies.
 Every command writes a run manifest next to its primary outputs recording the
 resolved configuration, sha256 hashes of the inputs, the tool version, and
 wall-clock duration. Primary outputs contain no timestamps, so two runs with
-the same inputs and seed are byte-identical. Exit codes: 0 success, 1 data or
-validation error, 2 usage error.
+the same inputs (and, for ``baseline``, the same seed) are byte-identical.
+Exit codes: 0 success, 1 data or validation error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -46,7 +46,12 @@ from .ingest import (
     write_prior_csv,
     write_space_csv,
 )
-from .solver import SolverConfig, anneal_frontier, default_beta_grid
+from .solver import (
+    DEFAULT_CATEGORY_MASS_THRESHOLD,
+    SolverConfig,
+    anneal_frontier,
+    default_beta_grid,
+)
 
 _SUBCOMMANDS = ["make-space", "make-prior", "frontier", "eval", "baseline",
                 "gnid", "mixture", "hierarchy"]
@@ -240,54 +245,34 @@ def make_prior(naming_paths, epsilon, space_path, out):
 @click.option("--max-iterations", type=int, default=30000, show_default=True)
 @click.option("--prune-threshold", type=float, default=1e-5, show_default=True,
               help="Words below this marginal mass are dropped while solving.")
-@click.option("--max-clusters", type=int, default=None,
-              help="Width of the initial encoder (default: one word per meaning).")
-@click.option("--restarts", type=int, default=0, show_default=True,
-              help="Extra perturbed warm starts per beta.")
-@click.option("--seed", type=int, default=None,
-              help="Random seed; required when the run is randomized.")
-@click.option("--direction", type=click.Choice(["high-to-low", "low-to-high"]),
-              default="high-to-low", show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--no-encoders", is_flag=True, help="Skip the encoder sidecar files.")
 @_handled
 def frontier(space_path, need_spec, beta_max, num_betas, beta_spacing, tol,
-             max_iterations, prune_threshold, max_clusters, restarts, seed,
-             direction, out_dir, no_encoders):
+             max_iterations, prune_threshold, out_dir, no_encoders):
     """Compute the efficiency frontier over a beta grid."""
-    randomized = restarts > 0 or direction == "low-to-high"
-    if randomized and seed is None:
-        raise click.UsageError("randomized runs (--restarts > 0 or --direction "
-                               "low-to-high) require an explicit --seed")
-    if seed is None:
-        seed = 0
     config = SolverConfig(
         beta_grid=default_beta_grid(beta_max, num_betas, spacing=beta_spacing),
-        max_clusters=max_clusters,
         convergence_tol=tol,
         max_iterations=max_iterations,
         mass_prune_threshold=prune_threshold,
-        restarts=restarts,
-        seed=seed,
-        anneal_direction=direction,
     )
     run = _Run("frontier", {
         "space": space_path, "need": need_spec, "beta_max": beta_max,
         "num_betas": num_betas, "beta_spacing": beta_spacing, "tol": tol,
         "max_iterations": max_iterations, "prune_threshold": prune_threshold,
-        "max_clusters": max_clusters, "restarts": restarts,
-        "direction": direction, "encoders": not no_encoders,
-    }, seed=seed)
+        "encoders": not no_encoders,
+    })
     space = _load_space(run, space_path, need_spec)
     front = anneal_frontier(space, config)
     paths = save_frontier(front, out_dir, write_encoders=not no_encoders)
     for p in paths.values():
         run.add_output(p)
     run.write_manifest(Path(out_dir) / "manifest.json")
-    unconverged = sum(1 for p in front.points if not p.converged)
+    unconverged = [f"{p.beta:.6g}" for p in front.points if not p.converged]
     msg = f"wrote {len(front)} frontier points to {out_dir}"
     if unconverged:
-        msg += f" ({unconverged} did not converge)"
+        msg += f" ({len(unconverged)} did not converge, at beta {', '.join(unconverged)})"
     click.echo(msg)
 
 
@@ -434,7 +419,8 @@ def mixture(system_a, system_b, system_format, need_spec, weight, out):
 @click.option("--k", "ks", required=True,
               help="Comma-separated effective category counts, e.g. 1,2,3,4.")
 @click.option("--top-n", type=int, default=5, show_default=True)
-@click.option("--threshold", type=float, default=1e-5, show_default=True,
+@click.option("--threshold", type=float, default=DEFAULT_CATEGORY_MASS_THRESHOLD,
+              show_default=True,
               help="Marginal mass above which a word counts as a category.")
 @click.option("--out-json", type=click.Path(dir_okay=False), default=None)
 @click.option("--out-text", type=click.Path(dir_okay=False), default=None)

@@ -4,7 +4,7 @@ A frontier lives in a directory:
 
     frontier.csv          beta, complexity_bits, accuracy_bits, objective_bits,
                           effective_k, converged, iterations  (one row per point)
-    frontier_meta.json    solver config, seed, space fingerprint, tool version
+    frontier_meta.json    solver config, space fingerprint, tool version
     encoders/             optional sidecar, one encoder CSV per point
 
 Floats are written with shortest round-trip repr so reloading reproduces the
@@ -18,7 +18,7 @@ import csv
 import json
 from pathlib import Path
 
-from .core import MeaningSpace, ValidationError
+from .core import MeaningSpace, ValidationError, _alignment_errors
 from .ingest import _fmt, read_encoder_csv, write_encoder_csv
 from .solver import Frontier, FrontierPoint, SolverConfig, _check_space
 
@@ -71,7 +71,8 @@ def load_frontier(path, space: MeaningSpace | None = None) -> Frontier:
 
     Encoders are read from the sidecar, if the frontier has one. Pass the
     meaning space the frontier was computed on (any other is rejected) to
-    recover word masses for effective-category queries and hierarchies.
+    recover word masses for effective-category queries and hierarchies;
+    each encoder's meaning rows must then match the space's, in order.
     """
     path = Path(path)
     base = path.parent if path.is_file() else path
@@ -110,8 +111,12 @@ def load_frontier(path, space: MeaningSpace | None = None) -> Frontier:
         encoder = None
         word_mass = None
         if enc_dir is not None:
-            encoder = read_encoder_csv(enc_dir / f"point_{i:05d}.csv")
+            enc_path = enc_dir / f"point_{i:05d}.csv"
+            encoder = read_encoder_csv(enc_path)
             if need is not None:
+                errors = _alignment_errors(encoder, space)
+                if errors:
+                    raise ValidationError([f"{enc_path}: {e}" for e in errors])
                 word_mass = need @ encoder.encoder
         points.append(FrontierPoint(
             beta=beta, complexity_bits=c, accuracy_bits=a, objective_bits=obj,

@@ -89,27 +89,19 @@ class FingerprintMismatchError(IBNamingError):
 class SolverConfig:
     """Knobs for one frontier computation.
 
-    The grid must be strictly increasing; the sweep direction decides the
-    traversal order. ``max_clusters`` caps the width of the initial encoder
-    only (annealing can only lose clusters after that). ``restarts`` adds
-    perturbed warm starts per beta, each drawn from an independent stream
-    keyed by (grid index, restart index) so results do not depend on
-    evaluation order. Iteration at each beta stops once the estimated
-    further movement of complexity and accuracy under plain updates is
-    below ``convergence_tol`` bits, or once the update's residual is at its
-    rounding error (see the module docstring). ``max_iterations`` is a hard
-    cap on the evaluations of the update map per beta, accelerated and plain
-    alike; a point that reaches it is recorded as last evaluated, unconverged.
+    The grid must be strictly increasing. Iteration at each beta stops once
+    the estimated further movement of complexity and accuracy under plain
+    updates is below ``convergence_tol`` bits, or once the update's residual
+    is at its rounding error (see the module docstring). ``max_iterations``
+    is a hard cap on the evaluations of the update map per beta, accelerated
+    and plain alike; a point that reaches it is recorded as last evaluated,
+    unconverged.
     """
 
     beta_grid: tuple[float, ...]
-    max_clusters: int | None = None
     convergence_tol: float = 1e-10
     max_iterations: int = 30_000
     mass_prune_threshold: float = 1e-5
-    restarts: int = 0
-    seed: int = 0
-    anneal_direction: str = "high-to-low"
 
     def __post_init__(self):
         object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
@@ -126,12 +118,6 @@ class SolverConfig:
             errors.append(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.mass_prune_threshold < 0:
             errors.append("mass_prune_threshold must be >= 0")
-        if self.restarts < 0:
-            errors.append("restarts must be >= 0")
-        if self.max_clusters is not None and self.max_clusters < 1:
-            errors.append(f"max_clusters must be >= 1, got {self.max_clusters}")
-        if self.anneal_direction not in ("high-to-low", "low-to-high"):
-            errors.append(f"unknown anneal_direction {self.anneal_direction!r}")
         if errors:
             raise ValidationError(errors)
 
@@ -142,7 +128,8 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
-        """Inverse of ``to_dict``; missing optional keys take their defaults."""
+        """Inverse of ``to_dict``; missing optional keys take their defaults
+        and unknown keys, such as those of removed fields, are ignored."""
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
@@ -604,70 +591,35 @@ def solve_at_beta(space: MeaningSpace, beta: float, init: NamingSystem,
     return _make_point(state, beta, init.word_labels, space.meaning_labels)
 
 
-def _identity_encoder(n_meanings: int, k: int) -> np.ndarray:
-    q = np.zeros((n_meanings, k))
-    q[np.arange(n_meanings), np.arange(n_meanings) % k] = 1.0
-    return q
-
-
-def _perturbed(q: np.ndarray, rng: np.random.Generator, sigma: float = 0.1) -> np.ndarray:
-    q = q * np.exp(sigma * rng.standard_normal(q.shape))
-    return q / q.sum(axis=1, keepdims=True)
-
-
-def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
 def anneal_frontier(space: MeaningSpace, config: SolverConfig) -> Frontier:
-    """Sweep the beta grid, warm-starting each beta from its neighbor.
+    """Sweep the beta grid from high to low, warm-starting each beta from
+    its neighbor.
 
-    The default high-to-low sweep starts from the identity encoder at the
-    largest beta, where the optimum is near-deterministic, and tracks the
-    solution branch downward as clusters merge away. Each beta additionally
-    tries ``config.restarts`` perturbed warm starts and keeps the lowest
-    objective (ties broken by restart index).
+    The sweep starts from the identity encoder at the largest beta, where
+    the optimum is near-deterministic, and tracks the solution branch
+    downward as clusters merge away (deterministic annealing, Rose 1998).
 
     A single sweep shows hysteresis (Zaslavsky & Tishby, 2019): it crosses
     cluster-merge transitions late, and on sparse spaces it can keep words
     whose supports the update cannot merge, a metastable branch with F far
-    above the optimum. So one reverse pass follows, against the sweep
-    direction: it re-solves every point from the neighbor it has just
-    passed and keeps the candidate when its objective is lower, so each
-    point is the better of the two branches that reach it.
+    above the optimum. So one reverse pass follows, from low to high beta:
+    it re-solves every point from the neighbor it has just passed and keeps
+    the candidate when its objective is lower, so each point is the better
+    of the two branches that reach it.
     """
     ws = _Workspace.for_space(space)
     n_m = space.num_meanings
     grid = config.beta_grid
-    k0 = n_m if config.max_clusters is None else min(config.max_clusters, n_m)
-    word_names = tuple(f"w{i:03d}" for i in range(k0))
+    word_names = tuple(f"w{i:03d}" for i in range(n_m))
 
-    high_to_low = config.anneal_direction == "high-to-low"
-    if high_to_low:
-        q = _identity_encoder(n_m, k0)
-        order = range(len(grid) - 1, -1, -1)
-    else:
-        q = _perturbed(np.full((n_m, k0), 1.0 / k0), _stream(config.seed, (0,)))
-        order = range(len(grid))
-    labels = np.arange(k0)
-
+    q, labels = np.eye(n_m), np.arange(n_m)
     states: list[_SolveState | None] = [None] * len(grid)
-    for gi in order:
-        beta = grid[gi]
-        best: tuple[float, int, _SolveState] | None = None
-        for r in range(config.restarts + 1):
-            qc = q if r == 0 else _perturbed(q, _stream(config.seed, (1, gi, r)))
-            state = _solve_arrays(ws, qc, labels, beta, config)
-            cand = (state.objective, r, state)
-            if best is None or cand[:2] < best[:2]:
-                best = cand
-        state = best[2]
-        q, labels = state.q, state.labels
-        states[gi] = state
+    for gi in range(len(grid) - 1, -1, -1):
+        states[gi] = _solve_arrays(ws, q, labels, grid[gi], config)
+        q, labels = states[gi].q, states[gi].labels
 
-    # the reverse pass, against the sweep direction
-    for gi in (range(1, len(grid)) if high_to_low else range(len(grid) - 2, -1, -1)):
-        src = states[gi - 1 if high_to_low else gi + 1]
+    for gi in range(1, len(grid)):  # the reverse pass
+        src = states[gi - 1]
         cand = _solve_arrays(ws, src.q, src.labels, grid[gi], config)
         if cand.objective < states[gi].objective - 1e-15:
             states[gi] = cand

@@ -209,8 +209,7 @@ class TestCriterion4Determinism:
                     "--naming", str(FIXTURES / "naming_b.tsv"),
                     "--space", str(space), "--out", str(prior)])
             front_args = ["frontier", "--space", str(space), "--need", str(prior),
-                          "--beta-max", "32", "--num-betas", "40",
-                          "--restarts", "1", "--seed", "11"]
+                          "--beta-max", "32", "--num-betas", "40"]
             invoke(front_args + ["--out", str(tmp_path / "f1")])
             invoke(front_args + ["--out", str(tmp_path / "f2")])
             assert self.tree_bytes(tmp_path / "f1") == self.tree_bytes(tmp_path / "f2")

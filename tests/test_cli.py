@@ -52,6 +52,21 @@ class TestPipelineComposability:
         assert (paths["front"] / "manifest.json").exists()
         assert len(list((paths["front"] / "encoders").glob("*.csv"))) == 40
 
+    def test_frontier_names_unconverged_betas(self, runner, tmp_path):
+        space = tmp_path / "space.csv"
+        run_ok(runner, ["make-space", "--similarity", str(FIXTURES / "similarity.csv"),
+                        "--out", str(space)])
+        front = tmp_path / "front"
+        result = run_ok(runner, ["frontier", "--space", str(space), "--need", "uniform",
+                                 "--beta-max", "32", "--num-betas", "8",
+                                 "--max-iterations", "3", "--out", str(front)])
+        rows = (front / "frontier.csv").read_text().splitlines()[1:]
+        unconverged = [f"{float(r.split(',')[0]):.6g}" for r in rows
+                       if r.split(",")[5] == "false"]
+        assert unconverged
+        assert (f"({len(unconverged)} did not converge, at beta {', '.join(unconverged)})"
+                in result.output)
+
     def test_eval_and_baseline(self, runner, tmp_path):
         paths = build_container_pipeline(runner, tmp_path, num_betas=40)
         out = tmp_path / "eval.json"
@@ -155,14 +170,6 @@ class TestExitCodes:
                                       "--samples", "5"])
         assert result.exit_code == 2
 
-    def test_randomized_frontier_requires_seed(self, runner, tmp_path):
-        result = runner.invoke(main, ["frontier", "--space",
-                                      str(FIXTURES / "similarity.csv"),
-                                      "--need", "uniform", "--restarts", "2",
-                                      "--out", str(tmp_path / "f")])
-        assert result.exit_code == 2
-        assert "--seed" in result.output
-
     def test_validation_error_exits_one(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("meaning,u0,u1\nm0,0.9,0.3\n")
@@ -190,6 +197,15 @@ def _short_row(text: str) -> str:
     return "".join(lines)
 
 
+def _drop_last_line(text: str) -> str:
+    return "".join(text.splitlines(keepends=True)[:-1])
+
+
+def _swap_first_rows(text: str) -> str:
+    header, first, second, *rest = text.splitlines(keepends=True)
+    return "".join([header, second, first, *rest])
+
+
 def _drop_config(text: str) -> str:
     meta = json.loads(text)
     del meta["config"]
@@ -208,6 +224,8 @@ class TestMalformedFrontier:
         "meta-without-config": ("frontier_meta.json", _drop_config),
         "meta-holds-a-list": ("frontier_meta.json", lambda text: "[1, 2]\n"),
         "missing-encoder-file": ("encoders/point_00003.csv", None),
+        "encoder-missing-row": ("encoders/point_00005.csv", _drop_last_line),
+        "encoder-rows-swapped": ("encoders/point_00005.csv", _swap_first_rows),
     }
 
     @pytest.fixture(scope="class")
@@ -253,7 +271,7 @@ class TestDeterminism:
         paths = build_container_pipeline(runner, tmp_path, num_betas=30)
         args = ["frontier", "--space", str(paths["space"]),
                 "--need", str(paths["prior"]), "--beta-max", "32",
-                "--num-betas", "30", "--restarts", "1", "--seed", "5"]
+                "--num-betas", "30"]
         run_ok(runner, args + ["--out", str(tmp_path / "f1")])
         run_ok(runner, args + ["--out", str(tmp_path / "f2")])
         assert self.read_tree(tmp_path / "f1") == self.read_tree(tmp_path / "f2")
