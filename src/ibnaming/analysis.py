@@ -106,7 +106,7 @@ def fit_beta(sys: NamingSystem, space: MeaningSpace, frontier: Frontier) -> Effi
     """Fit beta_l by minimizing eps(beta) over the frontier grid.
 
     Ties go to the smaller beta. The gNID is measured against the matched
-    point's encoder, which must have been kept with the frontier.
+    point's encoder.
     """
     _check_space(frontier.space_fingerprint, space)
     if not frontier.points:
@@ -127,10 +127,6 @@ def fit_beta(sys: NamingSystem, space: MeaningSpace, frontier: Frontier) -> Effi
     if best is None:
         raise ValidationError(["frontier has no points with beta > 0"])
     index, point = best
-    if point.encoder is None:
-        raise ValidationError(
-            ["frontier was stored without encoders; rerun with encoder output enabled"]
-        )
     g = gnid(sys, point.encoder, need)
     return EfficiencyReport(
         complexity_bits=c,
@@ -242,8 +238,6 @@ def category_profiles(point: FrontierPoint, space: MeaningSpace, top_n: int = 5,
     m_hat_w(u); ties keep the original index order. Lists are capped at the
     number of available meanings/features.
     """
-    if point.encoder is None:
-        raise ValidationError(["frontier point carries no encoder"])
     sys = point.encoder
     _align(sys, space)
     qw, joint, mhat = _listener(space.require_need().mass, sys.encoder, space.representations)

@@ -221,7 +221,6 @@ def make_prior(naming_paths, epsilon, space_path, out):
         sys = naming_system_from_counts(counts, meaning_order=order)
         if order is None:
             order = sys.meaning_labels
-            sys = naming_system_from_counts(counts, meaning_order=order)
         systems.append(sys)
         weights.append(naming_weights_from_counts(counts, order))
     prior = li_prior(systems, epsilon=epsilon, meaning_weights=weights)
@@ -237,8 +236,6 @@ def make_prior(naming_paths, epsilon, space_path, out):
               help="'uniform' or a prior CSV path.")
 @click.option("--beta-max", type=float, default=1024.0, show_default=True)
 @click.option("--num-betas", type=int, default=1500, show_default=True)
-@click.option("--beta-spacing", type=click.Choice(["log", "linear"]), default="log",
-              show_default=True)
 @click.option("--tol", type=float, default=1e-10, show_default=True,
               help="Bound, in bits, on how far complexity and accuracy may still "
                    "move under further updates at each beta.")
@@ -246,26 +243,24 @@ def make_prior(naming_paths, epsilon, space_path, out):
 @click.option("--prune-threshold", type=float, default=1e-5, show_default=True,
               help="Words below this marginal mass are dropped while solving.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--no-encoders", is_flag=True, help="Skip the encoder sidecar files.")
 @_handled
-def frontier(space_path, need_spec, beta_max, num_betas, beta_spacing, tol,
-             max_iterations, prune_threshold, out_dir, no_encoders):
+def frontier(space_path, need_spec, beta_max, num_betas, tol, max_iterations,
+             prune_threshold, out_dir):
     """Compute the efficiency frontier over a beta grid."""
     config = SolverConfig(
-        beta_grid=default_beta_grid(beta_max, num_betas, spacing=beta_spacing),
+        beta_grid=default_beta_grid(beta_max, num_betas),
         convergence_tol=tol,
         max_iterations=max_iterations,
         mass_prune_threshold=prune_threshold,
     )
     run = _Run("frontier", {
         "space": space_path, "need": need_spec, "beta_max": beta_max,
-        "num_betas": num_betas, "beta_spacing": beta_spacing, "tol": tol,
-        "max_iterations": max_iterations, "prune_threshold": prune_threshold,
-        "encoders": not no_encoders,
+        "num_betas": num_betas, "tol": tol, "max_iterations": max_iterations,
+        "prune_threshold": prune_threshold,
     })
     space = _load_space(run, space_path, need_spec)
     front = anneal_frontier(space, config)
-    paths = save_frontier(front, out_dir, write_encoders=not no_encoders)
+    paths = save_frontier(front, out_dir)
     for p in paths.values():
         run.add_output(p)
     run.write_manifest(Path(out_dir) / "manifest.json")
@@ -302,7 +297,7 @@ def eval_cmd(system_path, system_format, space_path, need_spec, frontier_path, o
     space = _load_space(run, space_path, need_spec)
     sys = reorder_naming_system(_read_system(run, system_path, system_format),
                                 space.meaning_labels)
-    front = load_frontier(run.add_input(_frontier_csv(frontier_path)).parent, space=space)
+    front = load_frontier(run.add_input(_frontier_csv(frontier_path)).parent, space)
     report = fit_beta(sys, space, front)
     payload = report.to_json_dict()
     click.echo(
@@ -339,7 +334,7 @@ def baseline(system_path, system_format, space_path, need_spec, frontier_path,
     space = _load_space(run, space_path, need_spec)
     sys = reorder_naming_system(_read_system(run, system_path, system_format),
                                 space.meaning_labels)
-    front = load_frontier(run.add_input(_frontier_csv(frontier_path)).parent, space=space)
+    front = load_frontier(run.add_input(_frontier_csv(frontier_path)).parent, space)
     summary = permutation_baseline(sys, space, front, samples, seed,
                                    include_identity=include_identity)
     click.echo(
@@ -438,7 +433,7 @@ def hierarchy(frontier_path, space_path, need_spec, ks, top_n, threshold,
                              "need": need_spec, "k": k_list, "top_n": top_n,
                              "threshold": threshold})
     space = _load_space(run, space_path, need_spec)
-    front = load_frontier(run.add_input(_frontier_csv(frontier_path)).parent, space=space)
+    front = load_frontier(run.add_input(_frontier_csv(frontier_path)).parent, space)
     report = hierarchy_report(front, k_list, space, top_n=top_n, threshold=threshold)
     click.echo(report.to_text())
     if out_json:

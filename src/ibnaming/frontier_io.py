@@ -4,12 +4,16 @@ A frontier lives in a directory:
 
     frontier.csv          beta, complexity_bits, accuracy_bits, objective_bits,
                           effective_k, converged, iterations  (one row per point)
-    frontier_meta.json    solver config, space fingerprint, tool version
-    encoders/             optional sidecar, one encoder CSV per point
+    frontier_meta.json    solver config (with the beta grid), space fingerprint,
+                          tool version
+    encoders/             point_00000.csv, ...: the encoder of each row, in order
 
-Floats are written with shortest round-trip repr so reloading reproduces the
-exact bits; nothing time-dependent is written here (timestamps belong to run
-manifests), which keeps reruns byte-identical.
+Every analysis reads the encoders, so a frontier is always saved with them
+and always loaded against the meaning space it was computed on; loading
+checks the rows against the grid and the encoders against the space.
+Floats are written with shortest round-trip repr so reloading reproduces
+the exact bits; nothing time-dependent is written here (timestamps belong to
+run manifests), which keeps reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ _COLUMNS = ["beta", "complexity_bits", "accuracy_bits", "objective_bits",
             "effective_k", "converged", "iterations"]
 
 
-def save_frontier(frontier: Frontier, out_dir, write_encoders: bool = True) -> dict[str, Path]:
-    """Write CSV + metadata (+ encoder sidecar); returns the written paths."""
+def save_frontier(frontier: Frontier, out_dir) -> dict[str, Path]:
+    """Write the CSV, the metadata and the encoders; returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / FRONTIER_CSV
@@ -50,33 +54,27 @@ def save_frontier(frontier: Frontier, out_dir, write_encoders: bool = True) -> d
         "space_fingerprint": frontier.space_fingerprint,
         "config": frontier.config.to_dict(),
         "num_points": len(frontier.points),
-        "encoders": ENCODER_DIR if write_encoders else None,
     }
     meta_path = out / FRONTIER_META
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    paths = {"csv": csv_path, "meta": meta_path}
-    if write_encoders:
-        enc_dir = out / ENCODER_DIR
-        enc_dir.mkdir(exist_ok=True)
-        for i, p in enumerate(frontier.points):
-            if p.encoder is None:
-                raise ValidationError([f"point {i} has no encoder to write"])
-            write_encoder_csv(p.encoder, enc_dir / f"point_{i:05d}.csv")
-        paths["encoders"] = enc_dir
-    return paths
+    enc_dir = out / ENCODER_DIR
+    enc_dir.mkdir(exist_ok=True)
+    for i, p in enumerate(frontier.points):
+        write_encoder_csv(p.encoder, enc_dir / f"point_{i:05d}.csv")
+    return {"csv": csv_path, "meta": meta_path, "encoders": enc_dir}
 
 
-def load_frontier(path, space: MeaningSpace | None = None) -> Frontier:
-    """Load a frontier directory (or its frontier.csv path).
+def load_frontier(path, space: MeaningSpace) -> Frontier:
+    """Load a frontier directory computed on ``space``.
 
-    Encoders are read from the sidecar, if the frontier has one. Pass the
-    meaning space the frontier was computed on (any other is rejected) to
-    recover word masses for effective-category queries and hierarchies;
-    each encoder's meaning rows must then match the space's, in order.
+    Any other space is rejected. Row i of frontier.csv must hold beta i of
+    the grid in frontier_meta.json, and its encoder, encoders/point_i.csv,
+    must have the space's meaning rows in order; word masses are recomputed
+    from the space's need. Metadata written with an ``"encoders"`` key loads
+    unchanged.
     """
-    path = Path(path)
-    base = path.parent if path.is_file() else path
-    csv_path = base / FRONTIER_CSV if not path.is_file() else path
+    base = Path(path)
+    csv_path = base / FRONTIER_CSV
     if not csv_path.exists():
         raise ValidationError([f"{csv_path}: frontier CSV not found"])
     meta_path = base / FRONTIER_META
@@ -86,19 +84,17 @@ def load_frontier(path, space: MeaningSpace | None = None) -> Frontier:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         config = SolverConfig.from_dict(meta["config"])
         fingerprint = str(meta["space_fingerprint"])
-        enc_dir = base / meta["encoders"] if meta.get("encoders") else None
     except (ValueError, KeyError, TypeError, ValidationError) as e:
         raise ValidationError([f"{meta_path}: malformed frontier metadata "
                                f"({type(e).__name__}: {e})"]) from None
-    if space is not None:
-        _check_space(fingerprint, space)
+    _check_space(fingerprint, space)
 
     with open(csv_path, newline="", encoding="utf-8") as f:
         rows = list(csv.reader(f))
     if not rows or rows[0] != _COLUMNS:
         raise ValidationError([f"{csv_path}: expected the header {','.join(_COLUMNS)}"])
 
-    need = space.need.mass if space is not None else None
+    grid, need = config.beta_grid, space.need.mass
     points = []
     for i, row in enumerate(rows[1:]):
         try:
@@ -106,21 +102,24 @@ def load_frontier(path, space: MeaningSpace | None = None) -> Frontier:
                 raise ValueError(f"malformed row {row}")
             beta, c, a, obj = (float(x) for x in row[:4])
             effective_k, iterations = int(row[4]), int(row[6])
+            if i >= len(grid):
+                raise ValueError(f"row beyond the {len(grid)} betas of the grid")
+            if beta != grid[i]:
+                raise ValueError(f"beta {beta!r} is not beta {i} of the grid, {grid[i]!r}")
         except ValueError as e:
             raise ValidationError([f"{csv_path}, line {i + 2}: {e}"]) from None
-        encoder = None
-        word_mass = None
-        if enc_dir is not None:
-            enc_path = enc_dir / f"point_{i:05d}.csv"
-            encoder = read_encoder_csv(enc_path)
-            if need is not None:
-                errors = _alignment_errors(encoder, space)
-                if errors:
-                    raise ValidationError([f"{enc_path}: {e}" for e in errors])
-                word_mass = need @ encoder.encoder
+        enc_path = base / ENCODER_DIR / f"point_{i:05d}.csv"
+        encoder = read_encoder_csv(enc_path)
+        errors = _alignment_errors(encoder, space)
+        if errors:
+            raise ValidationError([f"{enc_path}: {e}" for e in errors])
         points.append(FrontierPoint(
             beta=beta, complexity_bits=c, accuracy_bits=a, objective_bits=obj,
-            effective_k=effective_k, encoder=encoder, word_mass=word_mass,
+            effective_k=effective_k, encoder=encoder,
+            word_mass=need @ encoder.encoder,
             converged=row[5] == "true", iterations=iterations,
         ))
+    if len(points) < len(grid):
+        raise ValidationError([f"{csv_path}, line {len(rows) + 1}: the file ends after "
+                               f"{len(points)} rows, but the grid has {len(grid)} betas"])
     return Frontier(tuple(points), fingerprint, config)

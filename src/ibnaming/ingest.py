@@ -231,6 +231,8 @@ def li_prior(systems, epsilon: float = 0.001, meaning_weights=None, tol: float =
             raise ValidationError(["all systems must share one ordered meaning set"])
     if epsilon < 0:
         raise ValidationError([f"epsilon must be >= 0, got {epsilon}"])
+    if max_iterations < 1:
+        raise ValidationError([f"max_iterations must be >= 1, got {max_iterations}"])
     n = len(labels)
     if meaning_weights is None:
         weights = [np.full(n, 1.0 / n) for _ in systems]

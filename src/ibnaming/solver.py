@@ -53,6 +53,8 @@ DEFAULT_CATEGORY_MASS_THRESHOLD = 1e-5
 # not move, so the stopping rule leaves such words up to ~1e-7 apart, while
 # distinct categories of the fixtures sit at least 3e-3 apart.
 DUPLICATE_ROW_TOL = 1e-6
+# Smallest positive beta of the default grid.
+BETA_MIN = 0.1
 # Log-encoder value of an exact zero of q(w|m).
 _LOG_FLOOR = -800.0
 # Entries below exp(_EXP_CUT) times their row maximum are set to exact zeros.
@@ -133,25 +135,17 @@ class SolverConfig:
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
-def default_beta_grid(beta_max: float, num_betas: int, spacing: str = "log",
-                      beta_min: float = 0.1) -> tuple[float, ...]:
-    """Beta 0 plus (num_betas - 1) log-spaced values from beta_min to beta_max.
-
-    Linear spacing runs straight from 0 to beta_max instead.
-    """
+def default_beta_grid(beta_max: float, num_betas: int) -> tuple[float, ...]:
+    """Beta 0 plus (num_betas - 1) log-spaced values from BETA_MIN to beta_max."""
     if num_betas < 1:
         raise ValidationError([f"num_betas must be >= 1, got {num_betas}"])
     if beta_max <= 0:
         raise ValidationError([f"beta_max must be > 0, got {beta_max}"])
     if num_betas == 1:
         return (float(beta_max),)
-    if spacing == "linear":
-        return tuple(float(b) for b in np.linspace(0.0, beta_max, num_betas))
-    if spacing != "log":
-        raise ValidationError([f"unknown spacing {spacing!r} (expected 'log' or 'linear')"])
-    if beta_max <= beta_min:
-        raise ValidationError([f"beta_max must exceed {beta_min} for log spacing"])
-    tail = np.geomspace(beta_min, beta_max, num_betas - 1)
+    if beta_max <= BETA_MIN:
+        raise ValidationError([f"beta_max must exceed {BETA_MIN}"])
+    tail = np.geomspace(BETA_MIN, beta_max, num_betas - 1)
     return (0.0,) + tuple(float(b) for b in tail)
 
 
@@ -164,14 +158,13 @@ class FrontierPoint:
     accuracy_bits: float
     objective_bits: float
     effective_k: int
-    encoder: NamingSystem | None
-    word_mass: np.ndarray | None
+    encoder: NamingSystem
+    word_mass: np.ndarray
     converged: bool
     iterations: int
 
     def __post_init__(self):
-        if self.word_mass is not None:
-            object.__setattr__(self, "word_mass", _freeze(self.word_mass))
+        object.__setattr__(self, "word_mass", _freeze(self.word_mass))
 
 
 @dataclass(frozen=True)
@@ -639,8 +632,6 @@ def fixed_point_delta(space: MeaningSpace, point: FrontierPoint) -> float:
     rule; to test it, keep iterating from the point at a tight tolerance
     and compare complexity and accuracy.
     """
-    if point.encoder is None:
-        raise ValidationError(["frontier point carries no encoder"])
     ws = _Workspace.for_space(space)
     labels = np.arange(point.encoder.num_words)
     s0 = _plain_update(ws, _log_encoder(point.encoder.encoder), labels, point.beta, 0.0)
@@ -651,10 +642,6 @@ def fixed_point_delta(space: MeaningSpace, point: FrontierPoint) -> float:
 def effective_category_count(point: FrontierPoint,
                              threshold: float = DEFAULT_CATEGORY_MASS_THRESHOLD) -> int:
     """Number of words whose marginal mass strictly exceeds the threshold."""
-    if point.word_mass is None:
-        raise ValidationError(
-            ["frontier point has no word-mass data; load the frontier with its meaning space"]
-        )
     return int(np.sum(point.word_mass > threshold))
 
 

@@ -2,10 +2,12 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from ibnaming.cli import main
+from ibnaming.ingest import read_similarity_csv
 
 from conftest import FIXTURES
 
@@ -51,6 +53,20 @@ class TestPipelineComposability:
         assert meta["num_points"] == 40
         assert (paths["front"] / "manifest.json").exists()
         assert len(list((paths["front"] / "encoders").glob("*.csv"))) == 40
+
+    def test_make_space_exclude_diagonal(self, runner, tmp_path):
+        similarity = FIXTURES / "similarity.csv"
+        values = read_similarity_csv(similarity).values
+        gamma = float(1 / np.std(values[~np.eye(len(values), dtype=bool)]))
+        spaces = {name: tmp_path / f"{name}.csv" for name in ("excluded", "explicit", "default")}
+        run_ok(runner, ["make-space", "--similarity", str(similarity), "--exclude-diagonal",
+                        "--out", str(spaces["excluded"])])
+        run_ok(runner, ["make-space", "--similarity", str(similarity), "--gamma", repr(gamma),
+                        "--out", str(spaces["explicit"])])
+        run_ok(runner, ["make-space", "--similarity", str(similarity),
+                        "--out", str(spaces["default"])])
+        assert spaces["excluded"].read_bytes() == spaces["explicit"].read_bytes()
+        assert spaces["excluded"].read_bytes() != spaces["default"].read_bytes()
 
     def test_frontier_names_unconverged_betas(self, runner, tmp_path):
         space = tmp_path / "space.csv"
@@ -206,6 +222,17 @@ def _swap_first_rows(text: str) -> str:
     return "".join([header, second, first, *rest])
 
 
+def _drop_line_3(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:2] + lines[3:])
+
+
+def _swap_lines_3_and_4(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    lines[2], lines[3] = lines[3], lines[2]
+    return "".join(lines)
+
+
 def _drop_config(text: str) -> str:
     meta = json.loads(text)
     del meta["config"]
@@ -220,6 +247,8 @@ class TestMalformedFrontier:
         "empty-csv": ("frontier.csv", lambda text: ""),
         "non-numeric-cell": ("frontier.csv", _replace_cell),
         "short-row": ("frontier.csv", _short_row),
+        "deleted-row": ("frontier.csv", _drop_line_3),
+        "swapped-rows": ("frontier.csv", _swap_lines_3_and_4),
         "broken-meta-json": ("frontier_meta.json", lambda text: text[:-5]),
         "meta-without-config": ("frontier_meta.json", _drop_config),
         "meta-holds-a-list": ("frontier_meta.json", lambda text: "[1, 2]\n"),
@@ -243,6 +272,25 @@ class TestMalformedFrontier:
             target.unlink()
         else:
             target.write_text(damage(target.read_text()))
+        for line in self.failing_lines(runner, pipeline, front):
+            assert name in line
+            if name == "frontier.csv" and case != "empty-csv":
+                assert "line 3" in line
+
+    def test_frontier_without_encoders_exits_one(self, runner, tmp_path, pipeline):
+        # the shape of a frontier saved without its encoder files
+        front = tmp_path / "front"
+        shutil.copytree(pipeline["front"], front, ignore=shutil.ignore_patterns("encoders"))
+        meta = json.loads((front / "frontier_meta.json").read_text())
+        meta["encoders"] = None
+        (front / "frontier_meta.json").write_text(json.dumps(meta))
+        for line in self.failing_lines(runner, pipeline, front):
+            assert "point_00000.csv" in line
+
+    @staticmethod
+    def failing_lines(runner, pipeline, front):
+        """The one output line of eval, baseline and hierarchy, each of which
+        must exit 1 without a traceback."""
         common = ["--space", str(pipeline["space"]), "--need", str(pipeline["prior"]),
                   "--frontier", str(front)]
         system = ["--system", str(FIXTURES / "naming_a.tsv")]
@@ -254,9 +302,7 @@ class TestMalformedFrontier:
             assert isinstance(result.exception, SystemExit), result.exception
             lines = result.output.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
-            assert name in lines[0]
-            if name == "frontier.csv" and case != "empty-csv":
-                assert "line 3" in lines[0]
+            yield lines[0]
 
 
 class TestDeterminism:

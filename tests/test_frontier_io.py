@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -48,14 +50,6 @@ class TestRoundTrip:
             np.testing.assert_allclose(b.word_mass, a.word_mass, atol=1e-12)
             assert effective_category_count(b) == effective_category_count(a)
 
-    def test_without_encoders(self, computed, tmp_path):
-        space, front = computed
-        save_frontier(front, tmp_path, write_encoders=False)
-        loaded = load_frontier(tmp_path)
-        assert all(p.encoder is None for p in loaded.points)
-        with pytest.raises(ValidationError, match="without encoders"):
-            fit_beta(front.points[-1].encoder, space, loaded)
-
     def test_fit_beta_on_loaded_frontier(self, computed, tmp_path, rng):
         space, front = computed
         save_frontier(front, tmp_path)
@@ -72,7 +66,28 @@ class TestRoundTrip:
         save_frontier(front, tmp_path)
         (tmp_path / "frontier_meta.json").unlink()
         with pytest.raises(ValidationError, match="metadata"):
-            load_frontier(tmp_path)
+            load_frontier(tmp_path, space)
+
+    def test_truncated_tail_rejected(self, computed, tmp_path):
+        space, front = computed
+        save_frontier(front, tmp_path)
+        csv_path = tmp_path / "frontier.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:-1]))
+        with pytest.raises(ValidationError, match=f"frontier.csv, line {len(lines)}: "
+                                                  f"the file ends after {len(front) - 1} rows"):
+            load_frontier(tmp_path, space)
+
+    def test_metadata_with_encoders_key_loads(self, computed, tmp_path):
+        space, front = computed
+        save_frontier(front, tmp_path)
+        meta_path = tmp_path / "frontier_meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert "encoders" not in meta
+        meta["encoders"] = "encoders"
+        meta_path.write_text(json.dumps(meta))
+        loaded = load_frontier(tmp_path, space)
+        assert [p.beta for p in loaded.points] == [p.beta for p in front.points]
 
 
 class TestSpaceFingerprintStability:

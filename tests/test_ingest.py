@@ -179,6 +179,18 @@ class TestLIPrior:
         with pytest.raises(ValidationError):
             li_prior([a, b])
 
+    def test_iteration_cap_raises(self):
+        labels = tuple(f"m{i}" for i in range(5))
+        sys = NamingSystem.create(np.eye(5), tuple(f"w{i}" for i in range(5)), labels)
+        weights = np.array([0.5, 0.2, 0.1, 0.1, 0.1])
+        with pytest.raises(IterativeScalingError, match="within 1 iterations"):
+            li_prior([sys], meaning_weights=[weights], max_iterations=1)
+
+    def test_max_iterations_below_one_rejected(self):
+        sys = NamingSystem.create(np.eye(2), ("w0", "w1"), ("m0", "m1"))
+        with pytest.raises(ValidationError, match="max_iterations"):
+            li_prior([sys], max_iterations=0)
+
 
 class TestFeatureSpace:
     def make_table(self):

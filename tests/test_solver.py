@@ -39,17 +39,13 @@ class TestBetaGrid:
         assert grid[-1] == pytest.approx(1024.0)
         assert all(b2 > b1 for b1, b2 in zip(grid, grid[1:]))
 
-    def test_linear_grid(self):
-        grid = default_beta_grid(10.0, 11, spacing="linear")
-        np.testing.assert_allclose(grid, np.arange(11.0), atol=1e-12)
-
     def test_errors(self):
         with pytest.raises(ValidationError):
             default_beta_grid(-1.0, 10)
         with pytest.raises(ValidationError):
             default_beta_grid(10.0, 0)
         with pytest.raises(ValidationError):
-            default_beta_grid(10.0, 5, spacing="cubic")
+            default_beta_grid(0.1, 5)
 
 
 class TestSolverConfig:
@@ -249,7 +245,8 @@ class TestEffectiveCategories:
         point_mass = np.array([0.5, 0.5])
         from ibnaming.solver import FrontierPoint
 
-        point = FrontierPoint(1.0, 0.0, 0.0, 0.0, 2, None, point_mass, True, 1)
+        encoder = NamingSystem.create(np.eye(2), ("w0", "w1"), ("m0", "m1"))
+        point = FrontierPoint(1.0, 0.0, 0.0, 0.0, 2, encoder, point_mass, True, 1)
         assert effective_category_count(point, 0.5) == 0
 
 
