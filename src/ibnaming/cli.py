@@ -28,7 +28,7 @@ from .analysis import (
     permutation_baseline,
 )
 from .core import IBNamingError, MeaningSpace, NamingSystem
-from .frontier_io import load_frontier, save_frontier
+from .frontier_io import frontier_files, load_frontier, save_frontier
 from .ingest import (
     attach_need,
     li_prior,
@@ -48,6 +48,7 @@ from .ingest import (
 )
 from .solver import (
     DEFAULT_CATEGORY_MASS_THRESHOLD,
+    Frontier,
     SolverConfig,
     anneal_frontier,
     default_beta_grid,
@@ -128,6 +129,17 @@ def _load_space(run: _Run, space_path, need_spec: str) -> MeaningSpace:
         return attach_need(space, "uniform")
     need = read_prior_csv(run.add_input(need_spec))
     return attach_need(space, need)
+
+
+def _load_frontier(run: _Run, path, space: MeaningSpace) -> Frontier:
+    """Load the frontier at ``path``, a directory or its frontier.csv, and
+    record its CSV, its metadata and every encoder file as inputs."""
+    path = Path(path)
+    base = path.parent if path.is_file() else path
+    front = load_frontier(base, space)
+    for p in frontier_files(base):
+        run.add_input(p)
+    return front
 
 
 def _read_system(run: _Run, path, fmt: str) -> NamingSystem:
@@ -297,7 +309,7 @@ def eval_cmd(system_path, system_format, space_path, need_spec, frontier_path, o
     space = _load_space(run, space_path, need_spec)
     sys = reorder_naming_system(_read_system(run, system_path, system_format),
                                 space.meaning_labels)
-    front = load_frontier(run.add_input(_frontier_csv(frontier_path)).parent, space)
+    front = _load_frontier(run, frontier_path, space)
     report = fit_beta(sys, space, front)
     payload = report.to_json_dict()
     click.echo(
@@ -307,11 +319,6 @@ def eval_cmd(system_path, system_format, space_path, need_spec, frontier_path, o
     if out:
         _write_json(run.add_output(out), payload)
         run.write_manifest_beside(out)
-
-
-def _frontier_csv(path) -> Path:
-    path = Path(path)
-    return path if path.is_file() else path / "frontier.csv"
 
 
 @main.command("baseline")
@@ -334,7 +341,7 @@ def baseline(system_path, system_format, space_path, need_spec, frontier_path,
     space = _load_space(run, space_path, need_spec)
     sys = reorder_naming_system(_read_system(run, system_path, system_format),
                                 space.meaning_labels)
-    front = load_frontier(run.add_input(_frontier_csv(frontier_path)).parent, space)
+    front = _load_frontier(run, frontier_path, space)
     summary = permutation_baseline(sys, space, front, samples, seed,
                                    include_identity=include_identity)
     click.echo(
@@ -433,7 +440,7 @@ def hierarchy(frontier_path, space_path, need_spec, ks, top_n, threshold,
                              "need": need_spec, "k": k_list, "top_n": top_n,
                              "threshold": threshold})
     space = _load_space(run, space_path, need_spec)
-    front = load_frontier(run.add_input(_frontier_csv(frontier_path)).parent, space)
+    front = _load_frontier(run, frontier_path, space)
     report = hierarchy_report(front, k_list, space, top_n=top_n, threshold=threshold)
     click.echo(report.to_text())
     if out_json:

@@ -10,7 +10,8 @@ A frontier lives in a directory:
 
 Every analysis reads the encoders, so a frontier is always saved with them
 and always loaded against the meaning space it was computed on; loading
-checks the rows against the grid and the encoders against the space.
+checks the rows against the grid and each encoder against the space and
+its row.
 Floats are written with shortest round-trip repr so reloading reproduces
 the exact bits; nothing time-dependent is written here (timestamps belong to
 run manifests), which keeps reruns byte-identical.
@@ -24,13 +25,23 @@ from pathlib import Path
 
 from .core import MeaningSpace, ValidationError, _alignment_errors
 from .ingest import _fmt, read_encoder_csv, write_encoder_csv
-from .solver import Frontier, FrontierPoint, SolverConfig, _check_space
+from .measures import complexity
+from .solver import (
+    Frontier,
+    FrontierPoint,
+    SolverConfig,
+    _check_space,
+    effective_category_count,
+)
 
 FRONTIER_CSV = "frontier.csv"
 FRONTIER_META = "frontier_meta.json"
 ENCODER_DIR = "encoders"
 _COLUMNS = ["beta", "complexity_bits", "accuracy_bits", "objective_bits",
             "effective_k", "converged", "iterations"]
+# An encoder belongs to its row when its complexity matches the row's within
+# this many bits; a recomputation agrees to about 1e-14.
+_COMPLEXITY_TOL = 1e-9
 
 
 def save_frontier(frontier: Frontier, out_dir) -> dict[str, Path]:
@@ -64,14 +75,23 @@ def save_frontier(frontier: Frontier, out_dir) -> dict[str, Path]:
     return {"csv": csv_path, "meta": meta_path, "encoders": enc_dir}
 
 
+def frontier_files(path) -> list[Path]:
+    """The files of the frontier directory ``path``: its CSV, its metadata
+    and its encoders, in order."""
+    base = Path(path)
+    return [base / FRONTIER_CSV, base / FRONTIER_META,
+            *sorted((base / ENCODER_DIR).glob("point_*.csv"))]
+
+
 def load_frontier(path, space: MeaningSpace) -> Frontier:
     """Load a frontier directory computed on ``space``.
 
     Any other space is rejected. Row i of frontier.csv must hold beta i of
     the grid in frontier_meta.json, and its encoder, encoders/point_i.csv,
-    must have the space's meaning rows in order; word masses are recomputed
-    from the space's need. Metadata written with an ``"encoders"`` key loads
-    unchanged.
+    must have the space's meaning rows in order and match the row: the same
+    effective_k and the same complexity within 1e-9 bits, both recomputed
+    from the space's need, as are the word masses. Metadata written with an
+    ``"encoders"`` key loads unchanged.
     """
     base = Path(path)
     csv_path = base / FRONTIER_CSV
@@ -113,12 +133,19 @@ def load_frontier(path, space: MeaningSpace) -> Frontier:
         errors = _alignment_errors(encoder, space)
         if errors:
             raise ValidationError([f"{enc_path}: {e}" for e in errors])
-        points.append(FrontierPoint(
+        point = FrontierPoint(
             beta=beta, complexity_bits=c, accuracy_bits=a, objective_bits=obj,
-            effective_k=effective_k, encoder=encoder,
-            word_mass=need @ encoder.encoder,
+            effective_k=effective_k, encoder=encoder, word_mass=need @ encoder.encoder,
             converged=row[5] == "true", iterations=iterations,
-        ))
+        )
+        encoder_k = effective_category_count(point)
+        encoder_c = complexity(encoder, space.need)
+        if encoder_k != effective_k or abs(encoder_c - c) > _COMPLEXITY_TOL:
+            raise ValidationError([
+                f"{enc_path}: the encoder has {encoder_k} categories and complexity "
+                f"{encoder_c!r} bits, but line {i + 2} of {FRONTIER_CSV} records "
+                f"effective_k {effective_k} and {c!r} bits"])
+        points.append(point)
     if len(points) < len(grid):
         raise ValidationError([f"{csv_path}, line {len(rows) + 1}: the file ends after "
                                f"{len(points)} rows, but the grid has {len(grid)} betas"])

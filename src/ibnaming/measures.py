@@ -59,15 +59,15 @@ def kl_divergence(p: Distribution | np.ndarray, q: Distribution | np.ndarray) ->
     return float(np.sum(pm[mask] * np.log2(ratio[mask])))
 
 
-def mutual_information_from_joint(joint: np.ndarray) -> float:
-    """MI in bits of a (possibly unnormalized-within-1e-9) joint matrix."""
+def mutual_information_from_joint(joint: np.ndarray) -> float | np.ndarray:
+    """MI in bits of a (possibly unnormalized-within-1e-9) joint matrix, or
+    of each matrix of a stack (one value per matrix)."""
     j = np.asarray(joint, dtype=np.float64)
-    row = j.sum(axis=1)
-    col = j.sum(axis=0)
-    denom = row[:, None] * col[None, :]
-    mask = j > 0
-    ratio = np.divide(j, denom, out=np.ones_like(j), where=mask)
-    return float(np.sum(j[mask] * np.log2(ratio[mask])))
+    denom = j.sum(axis=-1)[..., :, None] * j.sum(axis=-2)[..., None, :]
+    # cells without mass get ratio 1, so they add an exact zero
+    ratio = np.divide(j, denom, out=np.ones_like(j), where=j > 0)
+    mi = np.sum(j * np.log2(ratio), axis=(-2, -1))
+    return float(mi) if mi.ndim == 0 else mi
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,9 @@ def _align(sys: NamingSystem, space: MeaningSpace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# array kernels, in nats; the solver iterates on the same ones
+# array kernels, in nats; the solver iterates on the same ones. Each takes
+# one encoder or a stack of them along a leading axis, and returns one value
+# (or row) per encoder.
 
 
 def _log(a: np.ndarray) -> np.ndarray:
@@ -114,22 +116,23 @@ def _listener(p: np.ndarray, enc: np.ndarray, reps: np.ndarray):
     qw = p @ enc
     joint = p[:, None] * enc
     # the column of a word with q(w) = 0 is all zeros, so dividing it by 1 zeroes its row
-    post = joint / np.where(qw > 0, qw, 1.0)[None, :]
-    return qw, joint, post.T @ reps
+    post = joint / np.where(qw > 0, qw, 1.0)[..., None, :]
+    return qw, joint, np.swapaxes(post, -1, -2) @ reps
 
 
-def _complexity(joint: np.ndarray, log_enc: np.ndarray, log_qw: np.ndarray) -> float:
+def _complexity(joint: np.ndarray, log_enc: np.ndarray, log_qw: np.ndarray) -> np.ndarray:
     """I(M;W) = sum_{m,w} p(m, w) (log q(w|m) - log q(w))."""
-    return float(np.einsum("ij,ij->", joint, log_enc - log_qw[None, :]))
+    return np.einsum("...ij,...ij->...", joint, log_enc - log_qw[..., None, :])
 
 
 def _accuracy(qw: np.ndarray, mhat: np.ndarray, log_mhat: np.ndarray,
-              log_m0: np.ndarray) -> float:
+              log_m0: np.ndarray) -> np.ndarray:
     """I(W;U) = sum_w q(w) D[m_hat_w || m_0]; raises on support violation."""
-    kl = np.einsum("ij,ij->i", mhat, log_mhat) - mhat @ log_m0
+    kl = np.einsum("...ij,...ij->...i", mhat, log_mhat) - mhat @ log_m0
     if np.any(kl > _VIOLATION):
         raise SupportViolationError("reconstruction lacks support where the target has mass")
-    return float(qw @ kl)
+    # a (1, k) @ (k, 1) product: in 2-D the same bits as qw @ kl
+    return (qw[..., None, :] @ kl[..., :, None])[..., 0, 0]
 
 
 def _distortion(reps: np.ndarray, self_nats: np.ndarray, log_mhat: np.ndarray) -> np.ndarray:
@@ -158,7 +161,8 @@ def complexity(sys: NamingSystem, need: Distribution) -> float:
             [f"need has {len(need)} entries, encoder has {sys.num_meanings} meanings"]
         )
     p = need.mass
-    return _complexity(p[:, None] * sys.encoder, _log(sys.encoder), _log(p @ sys.encoder)) / _LN2
+    return float(_complexity(p[:, None] * sys.encoder, _log(sys.encoder),
+                             _log(p @ sys.encoder))) / _LN2
 
 
 def expected_distortion(sys: NamingSystem, space: MeaningSpace) -> float:
@@ -179,7 +183,7 @@ def accuracy(sys: NamingSystem, space: MeaningSpace) -> float:
     """I(W;U) = sum_w q(w) D[m_hat_w || m_0] in bits."""
     _align(sys, space)
     qw, _, mhat = _listener(space.require_need().mass, sys.encoder, space.representations)
-    return _accuracy(qw, mhat, _log(mhat), _log(space.prior_representation)) / _LN2
+    return float(_accuracy(qw, mhat, _log(mhat), _log(space.prior_representation))) / _LN2
 
 
 def ib_objective(sys: NamingSystem, space: MeaningSpace, beta: float) -> float:

@@ -325,11 +325,11 @@ def _plain_update(ws: _Workspace, x: np.ndarray, labels: np.ndarray, beta: float
         labels = labels[keep]
         qw, weights, mhat = _listener(ws.p, q, ws.reps)
     log_qw = np.log(qw)
-    c = _complexity(weights, x, log_qw) / _LN2
+    c = float(_complexity(weights, x, log_qw)) / _LN2
     # dC / dlog q(w|m) is x - log q(w) in nats, up to row constants
     bits = _centred_norm(weights, q, x - log_qw[None, :])
     lh = _log(mhat)
-    a = _accuracy(qw, mhat, lh, ws.m0_log) / _LN2
+    a = float(_accuracy(qw, mhat, lh, ws.m0_log)) / _LN2
     dist = _distortion(ws.reps, ws.self_nats, lh)
     del lh
     # dA / dlog q(w|m) is -dist / ln 2 up to row constants

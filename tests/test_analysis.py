@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,12 @@ from ibnaming import (
     CategorySelectionError,
     Distribution,
     FingerprintMismatchError,
+    Frontier,
     MeaningSpace,
     NamingSystem,
     SolverConfig,
     ValidationError,
+    accuracy,
     anneal_frontier,
     category_profiles,
     complexity,
@@ -20,6 +24,7 @@ from ibnaming import (
     permutation_baseline,
     solve_at_beta,
 )
+from ibnaming import analysis
 from helpers import identity_system, random_space, random_system
 
 
@@ -58,6 +63,23 @@ class TestFitBeta:
             assert report.gnid <= 1 + 1e-9
             assert report.fitted_beta > 0
             assert report.matched_point is front.points[report.matched_index]
+
+    def test_ties_go_to_the_smaller_beta(self, rng):
+        space = random_space(rng, 4, 5)
+        front = make_frontier(space)
+        sys = random_system(rng, space, 3)
+        report = fit_beta(sys, space, front)
+        c, a, eps = report.complexity_bits, report.accuracy_bits, report.inefficiency_bits
+        # one more point, past the end of the grid, whose eps equals the best exactly
+        beta = 2 * front.points[-1].beta
+        obj = c - beta * a - beta * eps
+        while (c - beta * a - obj) / beta != eps:
+            obj = np.nextafter(obj, np.inf if (c - beta * a - obj) / beta > eps else -np.inf)
+        tied = dataclasses.replace(report.matched_point, beta=beta, objective_bits=float(obj))
+        extended = Frontier(front.points + (tied,), front.space_fingerprint, front.config)
+        again = fit_beta(sys, space, extended)
+        assert again.inefficiency_bits == eps
+        assert again.matched_index == report.matched_index
 
     def test_json_dict_is_serializable(self, rng):
         import json
@@ -185,6 +207,62 @@ class TestPermutationBaseline:
         front = make_frontier(space, beta_max=8, num=15)
         with pytest.raises(ValidationError):
             permutation_baseline(random_system(rng, space, 2), space, front, 0, seed=1)
+
+    def test_rejects_negative_seed(self, rng):
+        space = random_space(rng, 3, 3)
+        front = make_frontier(space, beta_max=8, num=15)
+        with pytest.raises(ValidationError, match="seed"):
+            permutation_baseline(random_system(rng, space, 2), space, front, 5, seed=-1)
+
+
+def _scalar_fit(sys, space, front):
+    """(eps, gnid, matched index) by the definition: one grid point at a time,
+    strict < so that ties keep the smaller beta."""
+    c, a = complexity(sys, space.need), accuracy(sys, space)
+    best_eps, best = np.inf, None
+    for i, p in enumerate(front.points):
+        eps = (c - p.beta * a - p.objective_bits) / p.beta if p.beta > 0 else np.inf
+        if eps < best_eps:
+            best_eps, best = eps, i
+    return best_eps, gnid(sys, front.points[best].encoder, space.need), best
+
+
+class TestStackedBaseline:
+    """The baseline fits its samples in stacks; each sample must get the fit
+    that fit_beta gives its permuted system alone."""
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("include_identity", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_matches_one_fit_per_sample(self, rng, monkeypatch, sparse, include_identity,
+                                        chunk):
+        space = random_space(rng, 6, 5, sparse=sparse)
+        front = make_frontier(space, beta_max=16, num=25)
+        sys = random_system(rng, space, 4)
+        # stacks of `chunk` samples: three full stacks and a remainder of 4
+        monkeypatch.setattr(analysis, "_STACK_ENTRIES", chunk * 6 * 4)
+        num_samples, seed = 3 * chunk + 4, 11
+        eps, gn = np.empty(num_samples), np.empty(num_samples)
+        for i in range(num_samples):
+            if include_identity and i == 0:
+                perm = np.arange(6)
+            else:
+                perm = np.random.default_rng(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(i,))).permutation(6)
+            permuted = NamingSystem(sys.encoder[perm], sys.word_labels, sys.meaning_labels)
+            report = fit_beta(permuted, space, front)
+            eps[i], gn[i] = report.inefficiency_bits, report.gnid
+            scalar_eps, scalar_gnid, index = _scalar_fit(permuted, space, front)
+            assert report.matched_index == index
+            assert abs(eps[i] - scalar_eps) <= 1e-12
+            assert abs(gn[i] - scalar_gnid) <= 1e-12
+        summary = permutation_baseline(sys, space, front, num_samples, seed,
+                                       include_identity=include_identity)
+        assert summary.num_samples == num_samples
+        assert abs(summary.inefficiency_mean - eps.mean()) <= 1e-12
+        assert abs(summary.inefficiency_sd - eps.std()) <= 1e-12
+        assert abs(summary.gnid_mean - gn.mean()) <= 1e-12
+        assert abs(summary.gnid_sd - gn.std()) <= 1e-12
 
 
 class TestMixtureComplexity:

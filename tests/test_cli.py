@@ -105,6 +105,39 @@ class TestPipelineComposability:
         assert summary["num_samples"] == 10
         assert summary["seed"] == 7
 
+    def test_manifests_hash_every_frontier_file(self, runner, tmp_path):
+        paths = build_container_pipeline(runner, tmp_path, num_betas=12)
+        front = paths["front"]
+        common = ["--space", str(paths["space"]), "--need", str(paths["prior"]),
+                  "--frontier", str(front)]
+        system = ["--system", str(FIXTURES / "naming_a.tsv")]
+
+        def frontier_inputs() -> list[dict[str, str]]:
+            found = []
+            for args, out in ((["eval", *system, *common], "--out"),
+                              (["baseline", *system, *common, "--samples", "3",
+                                "--seed", "1"], "--out"),
+                              (["hierarchy", *common, "--k", "1"], "--out-json")):
+                target = tmp_path / f"{args[0]}.json"
+                run_ok(runner, [*args, out, str(target)])
+                manifest = tmp_path / f"{args[0]}.json.manifest.json"
+                inputs = json.loads(manifest.read_text())["inputs"]
+                found.append({k: v for k, v in inputs.items() if Path(k).parent in
+                              (front, front / "encoders")})
+            return found
+
+        before = frontier_inputs()
+        expected = {front / "frontier.csv", front / "frontier_meta.json",
+                    *(front / "encoders" / f"point_{i:05d}.csv" for i in range(12))}
+        for inputs in before:
+            assert {Path(k) for k in inputs} == expected
+        # a word renamed: the encoder still loads, but its file has changed
+        edited = front / "encoders" / "point_00005.csv"
+        header, *rows = edited.read_text().splitlines(keepends=True)
+        edited.write_text("meaning,renamed\n" + "".join(rows))
+        for old, new in zip(before, frontier_inputs()):
+            assert {k for k in old if old[k] != new[k]} == {str(edited)}
+
     def test_gnid_and_mixture(self, runner, tmp_path):
         out = tmp_path / "g.json"
         result = run_ok(runner, ["gnid",
@@ -196,6 +229,19 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert "sums to" in result.output
 
+    def test_negative_seed_exits_one(self, runner, tmp_path):
+        paths = build_container_pipeline(runner, tmp_path, num_betas=12)
+        result = runner.invoke(main, ["baseline", "--system", str(FIXTURES / "naming_a.tsv"),
+                                      "--space", str(paths["space"]),
+                                      "--need", str(paths["prior"]),
+                                      "--frontier", str(paths["front"]),
+                                      "--samples", "3", "--seed", "-1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
+        assert "seed" in lines[0]
+
     def test_unknown_subcommand_exits_two(self, runner):
         result = runner.invoke(main, ["transmogrify"])
         assert result.exit_code == 2
@@ -255,6 +301,10 @@ class TestMalformedFrontier:
         "missing-encoder-file": ("encoders/point_00003.csv", None),
         "encoder-missing-row": ("encoders/point_00005.csv", _drop_last_line),
         "encoder-rows-swapped": ("encoders/point_00005.csv", _swap_first_rows),
+        # a 1-word encoder over a 6-word row, then a 3-word one over another
+        # 3-word row with a different complexity; a str names the copied file
+        "encoder-from-other-row": ("encoders/point_00010.csv", "encoders/point_00000.csv"),
+        "encoder-from-same-k-row": ("encoders/point_00009.csv", "encoders/point_00007.csv"),
     }
 
     @pytest.fixture(scope="class")
@@ -270,6 +320,8 @@ class TestMalformedFrontier:
         target = front / name
         if damage is None:
             target.unlink()
+        elif isinstance(damage, str):
+            shutil.copyfile(front / damage, target)
         else:
             target.write_text(damage(target.read_text()))
         for line in self.failing_lines(runner, pipeline, front):
