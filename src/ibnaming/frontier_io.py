@@ -13,8 +13,12 @@ and always loaded against the meaning space it was computed on; loading
 checks the rows against the grid and each encoder against the space and
 its row.
 Floats are written with shortest round-trip repr so reloading reproduces
-the exact bits; nothing time-dependent is written here (timestamps belong to
-run manifests), which keeps reruns byte-identical.
+the exact bits. Encoders are built by ``NamingSystem.create`` both when the
+solver records them and when they are read, so entries below
+``core.PROB_FLOOR`` are stored as 0.0, the value every reader loads, and a
+loaded frontier saves to the same bytes. Nothing time-dependent is written
+here (timestamps belong to run manifests), which keeps reruns
+byte-identical.
 """
 
 from __future__ import annotations

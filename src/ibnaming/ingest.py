@@ -367,10 +367,15 @@ def _float_cell(cell: str, path: Path, line: int) -> float:
 
 
 def _float_matrix(rows: list[list[str]], path: Path) -> np.ndarray:
-    return np.array([
-        [_float_cell(x, path, i + 2) for x in row[1:]]
-        for i, row in enumerate(rows[1:])
-    ])
+    """The numbers right of the label column, converted one row at a time."""
+    values = []
+    for i, row in enumerate(rows[1:]):
+        try:
+            values.append(list(map(float, row[1:])))
+        except ValueError:
+            for x in row[1:]:  # name the first cell that is not a number
+                _float_cell(x, path, i + 2)
+    return np.array(values)
 
 
 def _note_renormalized(sums: np.ndarray, path: Path, notes: list[str] | None) -> None:
@@ -470,7 +475,9 @@ def _write_matrix_csv(path, values: np.ndarray, columns, meanings) -> None:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["meaning", *columns])
         for lab, row in zip(meanings, values):
-            w.writerow([lab, *(_fmt(x) for x in row)])
+            # repr of a Python float is _fmt; converting a row at a time keeps
+            # a whole space out of one list
+            w.writerow([lab, *map(repr, row.tolist())])
 
 
 def read_space_csv(path, notes: list[str] | None = None) -> MeaningSpace:

@@ -110,6 +110,8 @@ class SolverConfig:
         errors = []
         if not self.beta_grid:
             errors.append("beta_grid is empty")
+        elif not all(np.isfinite(self.beta_grid)):
+            errors.append("beta_grid values must be finite")
         elif self.beta_grid[0] < 0:
             errors.append(f"beta_grid values must be >= 0, got {self.beta_grid[0]}")
         if any(b2 <= b1 for b1, b2 in zip(self.beta_grid, self.beta_grid[1:])):
@@ -139,8 +141,8 @@ def default_beta_grid(beta_max: float, num_betas: int) -> tuple[float, ...]:
     """Beta 0 plus (num_betas - 1) log-spaced values from BETA_MIN to beta_max."""
     if num_betas < 1:
         raise ValidationError([f"num_betas must be >= 1, got {num_betas}"])
-    if beta_max <= 0:
-        raise ValidationError([f"beta_max must be > 0, got {beta_max}"])
+    if not 0 < beta_max < np.inf:
+        raise ValidationError([f"beta_max must be finite and > 0, got {beta_max}"])
     if num_betas == 1:
         return (float(beta_max),)
     if beta_max <= BETA_MIN:
@@ -499,7 +501,14 @@ def _fixed_point_loop(ws: _Workspace, q: np.ndarray, labels: np.ndarray, beta: f
 
 
 def _merge_duplicate_words(s: _Step):
-    """Union words whose reconstructions agree within DUPLICATE_ROW_TOL."""
+    """Union words whose reconstructions agree within DUPLICATE_ROW_TOL.
+
+    Two rows that close in max-norm project onto a ±1 sign vector within
+    U * DUPLICATE_ROW_TOL of each other (U features), so only pairs whose
+    projections lie within twice that, which covers the rounding of the
+    projections, are compared. Each group's root is its smallest word, so
+    the groups do not depend on the order in which the pairs are found.
+    """
     k = s.q.shape[1]
     if k <= 1:
         return None
@@ -512,10 +521,16 @@ def _merge_duplicate_words(s: _Step):
         return x
 
     mhat = s.mhat
-    for i in range(k - 1):
-        close = np.nonzero(np.max(np.abs(mhat[i + 1:] - mhat[i]), axis=1) < DUPLICATE_ROW_TOL)[0]
-        for off in close:
-            ri, rj = find(i), find(int(off) + i + 1)
+    n_u = mhat.shape[1]
+    proj = mhat @ np.resize([1.0, -1.0], n_u)
+    order = np.argsort(proj)
+    proj = proj[order]
+    ends = np.searchsorted(proj, proj + 2 * n_u * DUPLICATE_ROW_TOL, side="right")
+    for a in np.nonzero(ends > np.arange(1, k + 1))[0]:  # some row follows in the window
+        i, others = order[a], order[a + 1:ends[a]]
+        close = others[np.max(np.abs(mhat[others] - mhat[i]), axis=1) < DUPLICATE_ROW_TOL]
+        for j in close:
+            ri, rj = find(int(i)), find(int(j))
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
     roots = [find(i) for i in range(k)]
@@ -550,8 +565,12 @@ def _solve_arrays(ws: _Workspace, q0: np.ndarray, labels0: np.ndarray, beta: flo
 
 def _make_point(state: _SolveState, beta: float, word_names: tuple[str, ...],
                 meaning_labels: tuple[str, ...]) -> FrontierPoint:
+    """The recorded point of a solve. Its encoder is built by
+    ``NamingSystem.create``, as every reader builds one, so entries below
+    PROB_FLOOR are exact zeros in memory, on disk and when loaded back; the
+    statistics and word masses are the solver's own."""
     labels = tuple(word_names[i] for i in state.labels)
-    encoder = NamingSystem(state.q, labels, meaning_labels)
+    encoder = NamingSystem.create(state.q, labels, meaning_labels)
     return FrontierPoint(
         beta=float(beta),
         complexity_bits=state.complexity,
@@ -573,8 +592,8 @@ def solve_at_beta(space: MeaningSpace, beta: float, init: NamingSystem,
     non-convergence within the iteration budget is reported through the
     ``converged`` flag, not an exception.
     """
-    if beta < 0:
-        raise ValidationError([f"beta must be >= 0, got {beta}"])
+    if not 0 <= beta < np.inf:
+        raise ValidationError([f"beta must be finite and >= 0, got {beta}"])
     if init.meaning_labels != space.meaning_labels:
         raise ValidationError(["init encoder meaning labels do not match the space"])
     if config is None:

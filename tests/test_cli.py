@@ -229,6 +229,20 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert "sums to" in result.output
 
+    @pytest.mark.parametrize("beta_max", ["inf", "nan"])
+    def test_non_finite_beta_max_exits_one(self, runner, tmp_path, beta_max):
+        space = tmp_path / "space.csv"
+        run_ok(runner, ["make-space", "--similarity", str(FIXTURES / "similarity.csv"),
+                        "--out", str(space)])
+        result = runner.invoke(main, ["frontier", "--space", str(space), "--need", "uniform",
+                                      "--beta-max", beta_max, "--num-betas", "5",
+                                      "--out", str(tmp_path / "f")])
+        assert result.exit_code == 1, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
+        assert "beta_max must be finite" in lines[0]
+        assert not (tmp_path / "f").exists()
+
     def test_negative_seed_exits_one(self, runner, tmp_path):
         paths = build_container_pipeline(runner, tmp_path, num_betas=12)
         result = runner.invoke(main, ["baseline", "--system", str(FIXTURES / "naming_a.tsv"),

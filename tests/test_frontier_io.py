@@ -12,7 +12,10 @@ from ibnaming import (
     fit_beta,
     load_frontier,
     save_frontier,
+    solver,
 )
+from ibnaming.core import PROB_FLOOR
+from ibnaming.frontier_io import frontier_files
 from ibnaming.ingest import read_space_csv, write_space_csv
 from helpers import random_space, random_system
 
@@ -22,6 +25,24 @@ def computed(rng):
     space = random_space(rng, 4, 5)
     cfg = SolverConfig(beta_grid=default_beta_grid(16.0, 20), max_iterations=6000)
     return space, anneal_frontier(space, cfg)
+
+
+@pytest.fixture
+def sub_floor(rng, monkeypatch):
+    """A frontier whose solves end with encoder entries in (0, PROB_FLOOR)."""
+    solved = []
+    make_point = solver._make_point
+
+    def recording(state, *args):
+        solved.append(state.q)
+        return make_point(state, *args)
+
+    monkeypatch.setattr(solver, "_make_point", recording)
+    space = random_space(rng, 6, 8)
+    front = anneal_frontier(space, SolverConfig(beta_grid=default_beta_grid(64.0, 20),
+                                                max_iterations=6000))
+    assert sum(np.sum((q > 0) & (q < PROB_FLOOR)) for q in solved) > 0
+    return space, front
 
 
 class TestRoundTrip:
@@ -41,6 +62,21 @@ class TestRoundTrip:
             assert a.iterations == b.iterations
             np.testing.assert_array_equal(a.encoder.encoder, b.encoder.encoder)
             assert a.encoder.word_labels == b.encoder.word_labels
+
+    def test_sub_floor_entries_round_trip_exactly(self, sub_floor, tmp_path):
+        space, front = sub_floor
+        save_frontier(front, tmp_path / "saved")
+        loaded = load_frontier(tmp_path / "saved", space)
+        for a, b in zip(front.points, loaded.points, strict=True):
+            assert not np.any((a.encoder.encoder > 0) & (a.encoder.encoder < PROB_FLOOR))
+            assert a.encoder.encoder.tobytes() == b.encoder.encoder.tobytes()
+            assert a.encoder.word_labels == b.encoder.word_labels
+        save_frontier(loaded, tmp_path / "resaved")
+        saved = frontier_files(tmp_path / "saved")
+        resaved = frontier_files(tmp_path / "resaved")
+        assert [f.name for f in saved] == [f.name for f in resaved]
+        for a, b in zip(saved, resaved):
+            assert a.read_bytes() == b.read_bytes(), a.name
 
     def test_word_mass_recomputed_with_space(self, computed, tmp_path):
         space, front = computed

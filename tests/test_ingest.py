@@ -344,6 +344,23 @@ class TestFileIO:
         np.testing.assert_array_equal(loaded.encoder, sys.encoder)
         assert loaded.word_labels == sys.word_labels
 
+    def test_non_numeric_matrix_cell_named(self, tmp_path):
+        path = tmp_path / "space.csv"
+        path.write_text("meaning,u0,u1,u2\nm0,0.5,0.25,0.25\nm1,0.5,oops,0.25\n")
+        with pytest.raises(ValidationError, match=r"space.csv: line 3: 'oops' is not a number"):
+            read_space_csv(path)
+
+    def test_matrix_cells_written_as_float_repr(self, tmp_path):
+        enc = np.array([[0.1, 0.2, 0.7], [1 / 3, 2 / 3, 0.0], [1e-300, 0.5, 0.5 - 1e-300]])
+        sys = NamingSystem(enc, ("a", "b", "c"), ("m0", "m1", "m2"))
+        path = tmp_path / "enc.csv"
+        write_encoder_csv(sys, path)
+        assert path.read_text() == "".join(
+            ["meaning,a,b,c\n"] + [f"{m},{','.join(repr(float(x)) for x in row)}\n"
+                                    for m, row in zip(sys.meaning_labels, enc)])
+        assert read_encoder_csv(path).encoder.tobytes() == NamingSystem.create(
+            enc, sys.word_labels, sys.meaning_labels).encoder.tobytes()
+
     def test_renormalization_noted(self, tmp_path):
         path = tmp_path / "space.csv"
         path.write_text("meaning,u0,u1\nm0,0.5000000001,0.5\nm1,0.5,0.5\n")

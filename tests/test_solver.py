@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ibnaming import (
     select_most_informative_with_k,
     solve_at_beta,
 )
+from ibnaming.solver import DUPLICATE_ROW_TOL, _merge_duplicate_words
 from helpers import continued_ca_move, identity_system, random_space, random_system
 
 
@@ -47,6 +49,12 @@ class TestBetaGrid:
         with pytest.raises(ValidationError):
             default_beta_grid(0.1, 5)
 
+    @pytest.mark.parametrize("beta_max", [np.inf, np.nan])
+    @pytest.mark.parametrize("num_betas", [1, 10])
+    def test_non_finite_beta_max_rejected(self, beta_max, num_betas):
+        with pytest.raises(ValidationError, match="finite"):
+            default_beta_grid(beta_max, num_betas)
+
 
 class TestSolverConfig:
     def test_grid_must_increase(self):
@@ -56,6 +64,12 @@ class TestSolverConfig:
     def test_negative_beta_rejected(self):
         with pytest.raises(ValidationError):
             SolverConfig(beta_grid=(-0.5, 1.0))
+
+    @pytest.mark.parametrize("grid", [(0.0, np.inf), (np.nan,), (0.0, np.nan, 1.0),
+                                      (-np.inf, 0.0)])
+    def test_non_finite_beta_rejected(self, grid):
+        with pytest.raises(ValidationError, match="finite"):
+            SolverConfig(beta_grid=grid)
 
     def test_round_trips_through_dict(self):
         cfg = SolverConfig(beta_grid=(0.0, 1.0, 2.0), convergence_tol=1e-8,
@@ -70,6 +84,12 @@ class TestSolverConfig:
 
 
 class TestSolveAtBeta:
+    @pytest.mark.parametrize("beta", [np.inf, np.nan, -1.0])
+    def test_invalid_beta_rejected(self, rng, beta):
+        space = random_space(rng, 3, 3)
+        with pytest.raises(ValidationError, match="beta must be finite and >= 0"):
+            solve_at_beta(space, beta, identity_system(space))
+
     def test_beta_zero_collapses(self, rng):
         space = random_space(rng, 4, 5)
         point = solve_at_beta(space, 0.0, identity_system(space))
@@ -206,6 +226,85 @@ class TestAnnealFrontier:
         # the sweep alone keeps support-locked words at low beta; the reverse
         # pass must bring those points down to the one-word optimum
         assert front.validate() == []
+
+
+def _all_pairs_groups(mhat: np.ndarray) -> list[list[int]]:
+    """Reference: the words of each duplicate group, every pair of
+    reconstruction rows compared, groups ordered by their smallest word."""
+    k = mhat.shape[0]
+    group = list(range(k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            if np.max(np.abs(mhat[j] - mhat[i])) < DUPLICATE_ROW_TOL:
+                gi, gj = group[i], group[j]
+                group = [min(gi, gj) if g in (gi, gj) else g for g in group]
+    return [[w for w in range(k) if group[w] == g] for g in sorted(set(group))]
+
+
+class TestDuplicateWords:
+    """The projection screen of _merge_duplicate_words finds exactly the
+    groups that comparing every pair of reconstruction rows finds."""
+
+    @staticmethod
+    def merged(rng, mhat):
+        k = mhat.shape[0]
+        step = SimpleNamespace(q=rng.dirichlet(np.ones(k), size=7), mhat=mhat,
+                               qw=rng.dirichlet(np.ones(k)), labels=np.arange(k) + 100)
+        groups = _all_pairs_groups(mhat)
+        result = _merge_duplicate_words(step)
+        if len(groups) == k:
+            assert result is None
+        else:
+            cols, labels = result
+            expected = np.stack([step.q[:, g].sum(axis=1) for g in groups], axis=1)
+            assert cols.tobytes() == expected.tobytes()
+            assert list(labels) == [step.labels[g[int(np.argmax(step.qw[g]))]]
+                                    for g in groups]
+        return groups
+
+    @staticmethod
+    def same_group(groups, *words):
+        return any(set(words) <= set(g) for g in groups)
+
+    @pytest.mark.parametrize("n_u", [2, 9, 757])
+    def test_planted_duplicates(self, rng, n_u):
+        for _ in range(10):
+            mhat = rng.dirichlet(np.ones(n_u), size=30)
+            for i, j in rng.integers(30, size=(8, 2)):
+                mhat[j] = mhat[i] + rng.uniform(-0.9, 0.9, n_u) * DUPLICATE_ROW_TOL
+            self.merged(rng, mhat)
+
+    def test_chain_is_one_word(self, rng):
+        signs = np.resize([1.0, -1.0], 40)
+        mhat = rng.dirichlet(np.ones(40), size=12)
+        mhat[5] = mhat[9] + 0.8 * DUPLICATE_ROW_TOL * signs
+        mhat[2] = mhat[5] + 0.8 * DUPLICATE_ROW_TOL * signs
+        assert np.max(np.abs(mhat[9] - mhat[2])) >= DUPLICATE_ROW_TOL
+        groups = self.merged(rng, mhat)
+        assert self.same_group(groups, 2, 5, 9)
+        assert len(groups) == 10
+
+    def test_projection_worst_case(self, rng):
+        # every feature differs in the direction of the sign vector, so the
+        # projections are as far apart as two duplicate rows allow
+        n_u = 757
+        mhat = rng.dirichlet(np.ones(n_u), size=20)
+        mhat[11] = mhat[3] + 0.999 * DUPLICATE_ROW_TOL * np.resize([1.0, -1.0], n_u)
+        assert self.same_group(self.merged(rng, mhat), 3, 11)
+
+    def test_pairs_at_the_tolerance(self, rng):
+        mhat = rng.dirichlet(np.ones(25), size=10)
+        mhat[4] = mhat[1]
+        mhat[4, 7] += DUPLICATE_ROW_TOL * (1 - 1e-6)
+        mhat[6] = mhat[0]
+        mhat[6, 3] += DUPLICATE_ROW_TOL * (1 + 1e-6)
+        groups = self.merged(rng, mhat)
+        assert self.same_group(groups, 1, 4)
+        assert not self.same_group(groups, 0, 6)
+
+    def test_all_rows_equal(self, rng):
+        mhat = np.tile(rng.dirichlet(np.ones(6)), (9, 1))
+        assert self.merged(rng, mhat) == [list(range(9))]
 
 
 class TestFixedPoint:
