@@ -248,7 +248,7 @@ def make_prior(naming_paths, epsilon, space_path, out):
               help="'uniform' or a prior CSV path.")
 @click.option("--beta-max", type=float, default=1024.0, show_default=True)
 @click.option("--num-betas", type=int, default=1500, show_default=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True,
+@click.option("--tol", type=float, default=1e-12, show_default=True,
               help="Bound, in bits, on how far complexity and accuracy may still "
                    "move under further updates at each beta.")
 @click.option("--max-iterations", type=int, default=30000, show_default=True)

@@ -9,7 +9,7 @@ The plain update at a fixed beta alternates three assignments:
 
 Each plain update is non-increasing in F = I(M;W) - beta * I(W;U). Near
 cluster transitions it contracts ever more slowly (critical slowing down),
-so the iteration is accelerated: Anderson mixing over the last few
+so the iteration is accelerated: Anderson mixing over the last twenty
 row-normalised log-encoders log q(w|m), with the plain step taken instead
 whenever a mixed step would raise F.
 
@@ -64,9 +64,15 @@ _EPS = float(np.finfo(np.float64).eps)
 _ROUND_OFF_ULPS = 8.0
 # Anderson mixing: past differences kept, the relative cut-off of the small
 # least-squares system, and the entries handled per block in double precision.
-_ANDERSON_DEPTH = 5
+_ANDERSON_DEPTH = 20
 _GRAM_RCOND = 1e-14
 _MIX_BLOCK = 4096
+# A history restarts with fresh weights once some word's mass q(w) has moved
+# by more than this factor from its start. Stale weights overweight a dying
+# word, and the mixing then rushes it under the prune threshold: on the
+# container grid of 150 betas to 1024, beta = 903.9 lost a category that
+# way and ended 1e-6 bits higher in F.
+_WEIGHT_DRIFT = 4.0
 # Evaluations before the first in-loop check for duplicate words; the checks
 # then come at doubling intervals.
 _DUPLICATE_CHECK = 16
@@ -101,7 +107,7 @@ class SolverConfig:
     """
 
     beta_grid: tuple[float, ...]
-    convergence_tol: float = 1e-10
+    convergence_tol: float = 1e-12
     max_iterations: int = 30_000
     mass_prune_threshold: float = 1e-5
 
@@ -293,6 +299,7 @@ class _Step:
     q: np.ndarray
     labels: np.ndarray
     qw: np.ndarray
+    weights: np.ndarray  # p(m) q(w|m), the Fisher weights
     mhat: np.ndarray
     complexity: float
     accuracy: float
@@ -316,7 +323,7 @@ def _plain_update(ws: _Workspace, x: np.ndarray, labels: np.ndarray, beta: float
     q = _exp(x)
     # Few n x k arrays are alive at once: the first solve of a sweep, at
     # full width, sets the sweep's peak memory.
-    qw, weights, mhat = _listener(ws.p, q, ws.reps)  # weights: p(m, w), the Fisher weights
+    qw, weights, mhat = _listener(ws.p, q, ws.reps)
     keep = (qw >= prune) if prune > 0 else (qw > 0)
     pruned = not keep.all()
     if pruned:
@@ -347,12 +354,12 @@ def _plain_update(ws: _Workspace, x: np.ndarray, labels: np.ndarray, beta: float
     scale *= beta
     scale += np.abs(log_qw)[None, :]
     round_off = _ROUND_OFF_ULPS * _EPS * _fisher_norm(weights, scale)
-    del dist, scale, weights
+    del dist, scale
     g = _normalized(g)
     f = g - x
-    residual = _fisher_norm(ws.p[:, None] * q, f)
-    return _Step(q, labels, qw, mhat, c, a, c - beta * a, g, f, residual, bits, round_off,
-                 pruned)
+    residual = _fisher_norm(weights, f)
+    return _Step(q, labels, qw, weights, mhat, c, a, c - beta * a, g, f, residual, bits,
+                 round_off, pruned)
 
 
 def _fisher_norm(weights: np.ndarray, dx: np.ndarray) -> float:
@@ -369,52 +376,79 @@ def _centred_norm(weights: np.ndarray, q: np.ndarray, grad: np.ndarray) -> float
 
 
 class _Anderson:
-    """Anderson mixing (Walker & Ni, 2011) over the last few log-encoders.
+    """Anderson mixing (Walker & Ni, 2011) over the last _ANDERSON_DEPTH
+    log-encoders.
 
     Keeps the differences of successive residuals f = G(x) - x and of
     successive updates G(x); ``mix`` returns G(x) minus the combination of
-    update differences whose residual differences best cancel f. The
-    differences live in two preallocated single-precision ring buffers:
-    single precision is enough for the mixing coefficients, and the buffers
-    keep the solver's memory flat.
+    update differences whose residual differences best cancel f in the
+    Fisher norm. The norm's weights w = p(m) q(w|m) are those of the step
+    that starts the history: each residual difference is stored already
+    multiplied by sqrt(w), and the Gram matrix of the stored rows gains one
+    row and column per ``push``, so a push and a mix each read the history
+    once. A step whose word masses have moved by more than _WEIGHT_DRIFT
+    from the history's start starts a new history. The state is two
+    single-precision ring buffers of _ANDERSON_DEPTH rows of n * k entries
+    (single precision is enough for the mixing coefficients), the sqrt(w)
+    vector and the small Gram matrix.
     """
 
     def __init__(self):
+        self.d_res = self.d_map = None
+        # entries of rows not yet written are never read
+        self.gram = np.zeros((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
         self.clear()
 
     def clear(self) -> None:
+        """Forget the history; the next push starts a new one with its own weights."""
         self.last: tuple[np.ndarray, np.ndarray] | None = None
         self.count = 0
-        self.d_res = self.d_map = None
+        self.sqrt_w = self.qw0 = None
 
     @property
     def depth(self) -> int:
         return min(self.count, _ANDERSON_DEPTH)
 
-    def push(self, f: np.ndarray, g: np.ndarray) -> None:
-        if self.last is not None:
+    def push(self, weights: np.ndarray, qw: np.ndarray, f: np.ndarray,
+             g: np.ndarray) -> None:
+        """Record a step's residual f and update g; its Fisher weights and
+        word masses q(w) count only when the step starts a history."""
+        if self.last is not None and np.any((qw > _WEIGHT_DRIFT * self.qw0)
+                                            | (_WEIGHT_DRIFT * qw < self.qw0)):
+            self.clear()
+        if self.last is None:
+            self.sqrt_w = np.sqrt(weights).ravel()
+            self.qw0 = qw
+        else:
             if self.d_res is None or self.d_res.shape[1] != f.size:
                 self.d_res = np.empty((_ANDERSON_DEPTH, f.size), np.float32)
                 self.d_map = np.empty((_ANDERSON_DEPTH, f.size), np.float32)
             i = self.count % _ANDERSON_DEPTH
-            np.subtract(f.ravel(), self.last[0].ravel(), out=self.d_res[i], casting="same_kind")
+            np.multiply(np.subtract(f, self.last[0]).ravel(), self.sqrt_w, out=self.d_res[i],
+                        casting="same_kind")
             np.subtract(g.ravel(), self.last[1].ravel(), out=self.d_map[i], casting="same_kind")
             self.count += 1
+            m = self.depth
+            row = np.zeros(m)
+            # blocks of entries keep the double-precision copies small
+            for a in range(0, f.size, _MIX_BLOCK):
+                block = self.d_res[:m, a:a + _MIX_BLOCK].astype(np.float64)
+                row += block @ block[i]
+            self.gram[i, :m] = row
+            self.gram[:m, i] = row
         self.last = (f, g)
 
-    def mix(self, weights: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Mixed log-encoder; weights are the Fisher weights p(m) q(w|m)."""
+    def mix(self) -> np.ndarray:
+        """Mixed log-encoder from the last pushed residual f and update g."""
+        f, g = self.last
         m = self.depth
         res, maps = self.d_res[:m], self.d_map[:m]
-        gram = np.zeros((m, m))
         rhs = np.zeros(m)
-        w, fr = weights.ravel(), f.ravel()
-        # blocks of entries keep the double-precision copies small
-        for a in range(0, w.size, _MIX_BLOCK):
-            block = res[:, a:a + _MIX_BLOCK].astype(np.float64)
-            weighted = block * w[a:a + _MIX_BLOCK]
-            gram += weighted @ block.T
-            rhs += weighted @ fr[a:a + _MIX_BLOCK]
+        fr = f.ravel()
+        for a in range(0, fr.size, _MIX_BLOCK):
+            rhs += res[:, a:a + _MIX_BLOCK].astype(np.float64) @ (
+                self.sqrt_w[a:a + _MIX_BLOCK] * fr[a:a + _MIX_BLOCK])
+        gram = self.gram[:m, :m]
         # least squares in the Fisher norm, on unit-scaled columns
         scale = np.sqrt(np.diag(gram))
         scale[scale == 0] = 1.0
@@ -475,11 +509,10 @@ def _fixed_point_loop(ws: _Workspace, q: np.ndarray, labels: np.ndarray, beta: f
                 return s.state(evals, True, pruned)
             if evals >= budget:
                 return s.state(evals, False, pruned)
-            accel.push(s.f, s.g)
+            accel.push(s.weights, s.qw, s.f, s.g)
             s_new = None
             if accel.depth and not (tail < tol and len(run) <= _MAX_CONFIRM_STEPS):
-                s_new = _plain_update(ws, _normalized(accel.mix(ws.p[:, None] * s.q, s.f, s.g)),
-                                      s.labels, beta, prune)
+                s_new = _plain_update(ws, _normalized(accel.mix()), s.labels, beta, prune)
                 evals += 1
                 run = []
                 if s_new.objective > s.objective + _F_SLACK * (abs(s.complexity)

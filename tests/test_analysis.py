@@ -34,6 +34,35 @@ def make_frontier(space, beta_max=32.0, num=40, **kwargs):
     return anneal_frontier(space, cfg)
 
 
+# Objectives tried on each side of the real-valued tie, in ulps, and betas tried.
+_TIE_ULPS = 8
+_TIE_BETAS = 256
+
+
+def _tying_point(c: float, a: float, eps: float, last_beta: float) -> tuple[float, float]:
+    """(beta, objective) of a point past ``last_beta`` whose eps, computed as
+    fit_beta computes it, (c - beta * a - objective) / beta, equals ``eps``.
+
+    A tie need not exist at a given beta: the differences c - beta * a -
+    objective lie on the grid of the objective's ulp, which can be coarser
+    than beta * ulp(eps). At a power-of-two beta the subtraction and the
+    division are both exact, so an eps whose last mantissa bit is odd never
+    ties there. So each beta gets a fixed window of objectives around the
+    real-valued tie, and the betas spread over [2, 4) times ``last_beta`` in
+    golden-ratio steps, which puts each at an unrelated offset to that grid.
+    """
+    for j in range(_TIE_BETAS):
+        beta = 2 * last_beta * (1 + (j * 0.6180339887498949) % 1)
+        below = above = c - beta * a - beta * eps
+        for _ in range(_TIE_ULPS + 1):
+            for obj in (below, above):
+                if (c - beta * a - obj) / beta == eps:
+                    return beta, float(obj)
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+    pytest.fail(f"no objective within {_TIE_ULPS} ulps ties eps = {eps!r} "
+                f"(c = {c!r}, a = {a!r}) at {_TIE_BETAS} betas from {2 * last_beta}")
+
+
 class TestFitBeta:
     def test_own_encoder_is_efficient(self, rng):
         space = random_space(rng, 4, 5)
@@ -71,11 +100,8 @@ class TestFitBeta:
         report = fit_beta(sys, space, front)
         c, a, eps = report.complexity_bits, report.accuracy_bits, report.inefficiency_bits
         # one more point, past the end of the grid, whose eps equals the best exactly
-        beta = 2 * front.points[-1].beta
-        obj = c - beta * a - beta * eps
-        while (c - beta * a - obj) / beta != eps:
-            obj = np.nextafter(obj, np.inf if (c - beta * a - obj) / beta > eps else -np.inf)
-        tied = dataclasses.replace(report.matched_point, beta=beta, objective_bits=float(obj))
+        beta, obj = _tying_point(c, a, eps, front.points[-1].beta)
+        tied = dataclasses.replace(report.matched_point, beta=beta, objective_bits=obj)
         extended = Frontier(front.points + (tied,), front.space_fingerprint, front.config)
         again = fit_beta(sys, space, extended)
         assert again.inefficiency_bits == eps

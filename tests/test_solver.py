@@ -23,7 +23,14 @@ from ibnaming import (
     select_most_informative_with_k,
     solve_at_beta,
 )
-from ibnaming.solver import DUPLICATE_ROW_TOL, _merge_duplicate_words
+from ibnaming.solver import (
+    _ANDERSON_DEPTH,
+    _MIX_BLOCK,
+    _WEIGHT_DRIFT,
+    DUPLICATE_ROW_TOL,
+    _Anderson,
+    _merge_duplicate_words,
+)
 from helpers import continued_ca_move, identity_system, random_space, random_system
 
 
@@ -325,6 +332,83 @@ class TestFixedPoint:
             for point in front.points:
                 assert point.converged
                 assert continued_ca_move(space, point) < 1e-8
+
+    def test_default_tolerance_pins_fixture_points(self):
+        # at the default tolerance every point of both fixture pipelines is
+        # within 1e-11 bits of its tight-tolerance limit in C and A (largest
+        # measured move 5.3e-13)
+        c_space, _, _, c_front = regen_golden.container_pipeline()
+        for space, front in ((c_space, c_front), regen_golden.animal_pipeline()):
+            for point in front.points:
+                assert continued_ca_move(space, point) < 1e-11, f"beta={point.beta}"
+
+
+class TestAnderson:
+    # more entries than one block, so the blocked sums are exercised
+    SHAPE = (90, 50)
+
+    def pushed(self, rng, steps):
+        """An Anderson history after ``steps`` pushes of random steps, with
+        the first step's weights and the residual of each step."""
+        accel = _Anderson()
+        assert np.prod(self.SHAPE) > _MIX_BLOCK
+        weights = rng.dirichlet(np.ones(np.prod(self.SHAPE))).reshape(self.SHAPE)
+        qw = weights.sum(axis=0)
+        residuals = []
+        for i in range(steps):
+            f, g = rng.standard_normal(self.SHAPE), rng.standard_normal(self.SHAPE)
+            # only the step that starts the history sets the weights
+            accel.push(weights if i == 0 else rng.random(self.SHAPE), qw, f, g)
+            residuals.append(f)
+        return accel, weights, residuals
+
+    def test_ring_buffer_wraps(self, rng):
+        steps = _ANDERSON_DEPTH + 7
+        accel, weights, residuals = self.pushed(rng, steps)
+        assert accel.count == steps - 1
+        assert accel.depth == _ANDERSON_DEPTH
+        # the newest difference sits at slot (count - 1) mod depth, weighted
+        # by the square root of the first step's weights
+        newest = np.sqrt(weights) * (residuals[-1] - residuals[-2])
+        np.testing.assert_array_equal(accel.d_res[(accel.count - 1) % _ANDERSON_DEPTH],
+                                      newest.ravel().astype(np.float32))
+
+    def test_gram_matches_stored_rows(self, rng):
+        accel, _, _ = self.pushed(rng, _ANDERSON_DEPTH + 7)
+        rows = accel.d_res.astype(np.float64)
+        expected = rows @ rows.T  # every entry, the diagonal included
+        scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+        assert np.all(np.abs(accel.gram - expected) <= 1e-12 * scale)
+
+    def test_mix_is_least_squares(self, rng):
+        accel, _, _ = self.pushed(rng, _ANDERSON_DEPTH + 7)
+        f, g = accel.last
+        rows, maps = accel.d_res.astype(np.float64), accel.d_map.astype(np.float64)
+        coef = np.linalg.lstsq(rows.T, accel.sqrt_w * f.ravel(), rcond=None)[0]
+        np.testing.assert_allclose(accel.mix().ravel(), g.ravel() - coef @ maps,
+                                   rtol=0, atol=1e-10)
+
+    def test_clear_takes_fresh_weights(self, rng):
+        accel, _, _ = self.pushed(rng, 5)
+        accel.clear()
+        weights = rng.random(self.SHAPE)
+        accel.push(weights, weights.sum(axis=0), rng.standard_normal(self.SHAPE),
+                   rng.standard_normal(self.SHAPE))
+        assert accel.depth == 0
+        np.testing.assert_array_equal(accel.sqrt_w, np.sqrt(weights).ravel())
+
+    @pytest.mark.parametrize("factor", [0.99 / _WEIGHT_DRIFT, 0.99 * _WEIGHT_DRIFT,
+                                        1.01 / _WEIGHT_DRIFT, 1.01 * _WEIGHT_DRIFT])
+    def test_word_mass_drift_restarts_history(self, rng, factor):
+        accel, _, _ = self.pushed(rng, 5)
+        weights = rng.random(self.SHAPE)
+        qw = accel.qw0.copy()
+        qw[3] *= factor  # one word's mass moves by this factor
+        accel.push(weights, qw, rng.standard_normal(self.SHAPE),
+                   rng.standard_normal(self.SHAPE))
+        restarted = not 1 / _WEIGHT_DRIFT <= factor <= _WEIGHT_DRIFT
+        assert accel.depth == (0 if restarted else 5)
+        assert (accel.qw0 is qw) == restarted
 
 
 class TestEffectiveCategories:
