@@ -13,7 +13,7 @@ encoder over a language-tagged (disjoint) word alphabet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -91,14 +91,7 @@ class BaselineSummary:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "num_samples": self.num_samples,
-            "inefficiency_mean": self.inefficiency_mean,
-            "inefficiency_sd": self.inefficiency_sd,
-            "gnid_mean": self.gnid_mean,
-            "gnid_sd": self.gnid_sd,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -225,14 +218,12 @@ def gnid(sys1: NamingSystem, sys2: NamingSystem, need: Distribution) -> float:
 
 
 def permutation_baseline(sys: NamingSystem, space: MeaningSpace, frontier: Frontier,
-                         num_samples: int, seed: int,
-                         include_identity: bool = False) -> BaselineSummary:
+                         num_samples: int, seed: int) -> BaselineSummary:
     """Fit hypothetical systems q'(w|m) = q(w|pi(m)) for random permutations pi.
 
     Each sample draws its permutation from an independent stream keyed by the
     sample index, so the summary is reproducible regardless of evaluation
-    order. With ``include_identity`` sample 0 uses the identity permutation
-    (a plumbing diagnostic: its fit must equal the unpermuted system's).
+    order.
 
     The samples are fitted in chunks: one stacked (B, n, k) array of
     permuted encoders at a time, sized from the shapes so that the largest
@@ -249,8 +240,6 @@ def permutation_baseline(sys: NamingSystem, space: MeaningSpace, frontier: Front
     chunk = max(1, _STACK_ENTRIES // max(n * k, k * space.num_universe))
 
     def permutation(i: int) -> np.ndarray:
-        if include_identity and i == 0:
-            return np.arange(n)
         stream = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
         return np.random.default_rng(stream).permutation(n)
 

@@ -2,7 +2,7 @@
 naming systems, and report category hierarchies.
 
 Every command writes a run manifest next to its primary outputs recording the
-resolved configuration, sha256 hashes of the inputs, the tool version, and
+command's parsed options, sha256 hashes of the inputs, the tool version, and
 wall-clock duration. Primary outputs contain no timestamps, so two runs with
 the same inputs (and, for ``baseline``, the same seed) are byte-identical.
 Exit codes: 0 success, 1 data or validation error, 2 usage error.
@@ -27,7 +27,7 @@ from .analysis import (
     mixture_complexity,
     permutation_baseline,
 )
-from .core import IBNamingError, MeaningSpace, NamingSystem
+from .core import Distribution, IBNamingError, MeaningSpace, NamingSystem
 from .frontier_io import frontier_files, load_frontier, save_frontier
 from .ingest import (
     attach_need,
@@ -54,8 +54,8 @@ from .solver import (
     default_beta_grid,
 )
 
-_SUBCOMMANDS = ["make-space", "make-prior", "frontier", "eval", "baseline",
-                "gnid", "mixture", "hierarchy"]
+_IN_FILE = click.Path(exists=True, dir_okay=False)
+_NEED_HELP = "'uniform' or a prior CSV."
 
 
 def _handled(fn):
@@ -84,12 +84,13 @@ def _write_json(path, payload) -> None:
 
 
 class _Run:
-    """Collects inputs, notes, and outputs for the manifest."""
+    """Collects inputs, notes, and outputs for the manifest of the running
+    command. Its config is the command's parsed parameters, by name."""
 
-    def __init__(self, command: str, config: dict, seed: int | None = None):
-        self.command = command
-        self.config = config
-        self.seed = seed
+    def __init__(self):
+        ctx = click.get_current_context()
+        self.command = ctx.command.name
+        self.config = dict(ctx.params)
         self.started = time.perf_counter()
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
@@ -110,7 +111,7 @@ class _Run:
             "tool_version": __version__,
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
             "duration_seconds": time.perf_counter() - self.started,
-            "seed": self.seed,
+            "seed": self.config.get("seed"),
             "config": self.config,
             "inputs": self.inputs,
             "outputs": self.outputs,
@@ -122,13 +123,23 @@ class _Run:
         output = Path(output)
         self.write_manifest(output.with_suffix(output.suffix + ".manifest.json"))
 
+    def write_json(self, out, payload) -> None:
+        """If ``out`` is set, write ``payload`` there and the manifest beside it."""
+        if out:
+            _write_json(self.add_output(out), payload)
+            self.write_manifest_beside(out)
 
-def _load_space(run: _Run, space_path, need_spec: str) -> MeaningSpace:
-    space = read_space_csv(run.add_input(space_path), notes=run.notes)
-    if need_spec == "uniform":
-        return attach_need(space, "uniform")
-    need = read_prior_csv(run.add_input(need_spec))
-    return attach_need(space, need)
+
+def _read_need(run: _Run, need: str, labels) -> Distribution:
+    """``--need``: the literal 'uniform' over ``labels``, or a prior CSV."""
+    if need == "uniform":
+        return Distribution.uniform(labels)
+    return read_prior_csv(run.add_input(need))
+
+
+def _load_space(run: _Run, path, need: str) -> MeaningSpace:
+    space = read_space_csv(run.add_input(path), notes=run.notes)
+    return attach_need(space, _read_need(run, need, space.meaning_labels))
 
 
 def _load_frontier(run: _Run, path, space: MeaningSpace) -> Frontier:
@@ -142,21 +153,39 @@ def _load_frontier(run: _Run, path, space: MeaningSpace) -> Frontier:
     return front
 
 
-def _read_system(run: _Run, path, fmt: str) -> NamingSystem:
+def _read_system(run: _Run, path) -> NamingSystem:
+    """A naming-count file if its first header cell is ``meaning_label``,
+    otherwise an encoder matrix."""
     path = run.add_input(path)
-    if fmt == "auto":
-        with open(path, encoding="utf-8") as f:
-            first = f.readline().split("\t" if path.suffix.lower() == ".tsv" else ",")[0].strip()
-        fmt = "counts" if first == "meaning_label" else "matrix"
-    if fmt == "counts":
+    with open(path, encoding="utf-8") as f:
+        first = f.readline().split("\t" if path.suffix.lower() == ".tsv" else ",")[0].strip()
+    if first == "meaning_label":
         return naming_system_from_counts(read_naming_counts(path))
     return read_encoder_csv(path, notes=run.notes)
 
 
+def _fit_inputs(run: _Run, system, space, need, frontier):
+    """The system in the space's meaning order, the space, and the frontier."""
+    space = _load_space(run, space, need)
+    sys = reorder_naming_system(_read_system(run, system), space.meaning_labels)
+    return sys, space, _load_frontier(run, frontier, space)
+
+
+def _two_system_inputs(run: _Run, system_a, system_b, need):
+    """Both systems and the need, over the need's meaning order."""
+    sys_a = _read_system(run, system_a)
+    sys_b = reorder_naming_system(_read_system(run, system_b), sys_a.meaning_labels)
+    need = _read_need(run, need, sys_a.meaning_labels)
+    if need.labels != sys_a.meaning_labels:
+        sys_a = reorder_naming_system(sys_a, need.labels)
+        sys_b = reorder_naming_system(sys_b, need.labels)
+    return sys_a, sys_b, need
+
+
 @click.group()
 @click.version_option(__version__)
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Flat JSON key-value file mirroring flags; flags win.")
+@click.option("--config", "config_path", type=_IN_FILE, default=None,
+              help="Flat JSON key-value file mirroring flags; flags win.")
 @click.pass_context
 def main(ctx, config_path):
     """Information Bottleneck efficiency frontiers for naming systems."""
@@ -165,20 +194,18 @@ def main(ctx, config_path):
         if not isinstance(flat, dict):
             raise click.UsageError("config file must hold a flat JSON object")
         normalized = {str(k).replace("-", "_"): v for k, v in flat.items()}
-        ctx.default_map = {cmd: dict(normalized) for cmd in _SUBCOMMANDS}
+        ctx.default_map = {name: dict(normalized) for name in main.commands}
 
 
 @main.command("make-space")
-@click.option("--similarity", type=click.Path(exists=True, dir_okay=False),
+@click.option("--similarity", type=_IN_FILE,
               help="Similarity CSV; rows become softmax representations.")
 @click.option("--gamma", type=float, default=None,
               help="Softmax scale; defaults to 1/SD of the similarity entries.")
 @click.option("--exclude-diagonal", is_flag=True,
               help="Leave the diagonal out of the SD estimate for gamma.")
-@click.option("--features", type=click.Path(exists=True, dir_okay=False),
-              help="Feature-probability CSV (one row per class).")
-@click.option("--familiarity", type=click.Path(exists=True, dir_okay=False),
-              help="Familiarity CSV, required with --features.")
+@click.option("--features", type=_IN_FILE, help="Feature-probability CSV (one row per class).")
+@click.option("--familiarity", type=_IN_FILE, help="Familiarity CSV, required with --features.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False),
               help="Output space CSV.")
 @click.option("--need-out", type=click.Path(dir_okay=False), default=None,
@@ -188,10 +215,7 @@ def make_space(similarity, gamma, exclude_diagonal, features, familiarity, out, 
     """Build a meaning-space CSV from similarity or feature data."""
     if (similarity is None) == (features is None):
         raise click.UsageError("pass exactly one of --similarity or --features")
-    run = _Run("make-space", {
-        "similarity": similarity, "gamma": gamma, "exclude_diagonal": exclude_diagonal,
-        "features": features, "familiarity": familiarity,
-    })
+    run = _Run()
     if similarity is not None:
         simm = read_similarity_csv(run.add_input(similarity))
         space = meaning_space_from_similarity(
@@ -210,25 +234,23 @@ def make_space(similarity, gamma, exclude_diagonal, features, familiarity, out, 
 
 
 @main.command("make-prior")
-@click.option("--naming", "naming_paths", multiple=True, required=True,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--naming", multiple=True, required=True, type=_IN_FILE,
               help="Naming-count file; repeat once per (monolingual) condition.")
 @click.option("--epsilon", type=float, default=0.001, show_default=True,
               help="Regularizer added to the averaged prior before renormalizing.")
-@click.option("--space", "space_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Emit the prior in this space's meaning order.")
+@click.option("--space", type=_IN_FILE, default=None,
+              help="Emit the prior in this space's meaning order.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @_handled
-def make_prior(naming_paths, epsilon, space_path, out):
+def make_prior(naming, epsilon, space, out):
     """Fit the least-informative need prior from naming counts."""
-    run = _Run("make-prior", {"naming": list(naming_paths), "epsilon": epsilon,
-                              "space": space_path})
+    run = _Run()
     order = None
-    if space_path:
-        order = read_space_csv(run.add_input(space_path)).meaning_labels
+    if space:
+        order = read_space_csv(run.add_input(space)).meaning_labels
     systems = []
     weights = []
-    for path in naming_paths:
+    for path in naming:
         counts = read_naming_counts(run.add_input(path))
         sys = naming_system_from_counts(counts, meaning_order=order)
         if order is None:
@@ -242,183 +264,116 @@ def make_prior(naming_paths, epsilon, space_path, out):
 
 
 @main.command("frontier")
-@click.option("--space", "space_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--need", "need_spec", required=True,
-              help="'uniform' or a prior CSV path.")
+@click.option("--space", required=True, type=_IN_FILE)
+@click.option("--need", required=True, help=_NEED_HELP)
 @click.option("--beta-max", type=float, default=1024.0, show_default=True)
 @click.option("--num-betas", type=int, default=1500, show_default=True)
 @click.option("--tol", type=float, default=1e-12, show_default=True,
               help="Bound, in bits, on how far complexity and accuracy may still "
                    "move under further updates at each beta.")
 @click.option("--max-iterations", type=int, default=30000, show_default=True)
-@click.option("--prune-threshold", type=float, default=1e-5, show_default=True,
-              help="Words below this marginal mass are dropped while solving.")
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
+@click.option("--out", required=True, type=click.Path(file_okay=False))
 @_handled
-def frontier(space_path, need_spec, beta_max, num_betas, tol, max_iterations,
-             prune_threshold, out_dir):
+def frontier(space, need, beta_max, num_betas, tol, max_iterations, out):
     """Compute the efficiency frontier over a beta grid."""
-    config = SolverConfig(
-        beta_grid=default_beta_grid(beta_max, num_betas),
-        convergence_tol=tol,
-        max_iterations=max_iterations,
-        mass_prune_threshold=prune_threshold,
-    )
-    run = _Run("frontier", {
-        "space": space_path, "need": need_spec, "beta_max": beta_max,
-        "num_betas": num_betas, "tol": tol, "max_iterations": max_iterations,
-        "prune_threshold": prune_threshold,
-    })
-    space = _load_space(run, space_path, need_spec)
-    front = anneal_frontier(space, config)
-    paths = save_frontier(front, out_dir)
-    for p in paths.values():
+    config = SolverConfig(beta_grid=default_beta_grid(beta_max, num_betas),
+                          convergence_tol=tol, max_iterations=max_iterations)
+    run = _Run()
+    front = anneal_frontier(_load_space(run, space, need), config)
+    for p in save_frontier(front, out).values():
         run.add_output(p)
-    run.write_manifest(Path(out_dir) / "manifest.json")
+    run.write_manifest(Path(out) / "manifest.json")
     unconverged = [f"{p.beta:.6g}" for p in front.points if not p.converged]
-    msg = f"wrote {len(front)} frontier points to {out_dir}"
+    msg = f"wrote {len(front)} frontier points to {out}"
     if unconverged:
         msg += f" ({len(unconverged)} did not converge, at beta {', '.join(unconverged)})"
     click.echo(msg)
 
 
-def _eval_options(fn):
-    fn = click.option("--system", "system_path", required=True,
-                      type=click.Path(exists=True, dir_okay=False))(fn)
-    fn = click.option("--system-format", type=click.Choice(["auto", "counts", "matrix"]),
-                      default="auto", show_default=True)(fn)
-    fn = click.option("--space", "space_path", required=True,
-                      type=click.Path(exists=True, dir_okay=False))(fn)
-    fn = click.option("--need", "need_spec", required=True)(fn)
-    fn = click.option("--frontier", "frontier_path", required=True,
-                      type=click.Path(exists=True))(fn)
+def _fit_options(fn):
+    fn = click.option("--frontier", required=True, type=click.Path(exists=True))(fn)
+    fn = click.option("--need", required=True, help=_NEED_HELP)(fn)
+    fn = click.option("--space", required=True, type=_IN_FILE)(fn)
+    fn = click.option("--system", required=True, type=_IN_FILE,
+                      help="Naming counts or an encoder matrix, told apart by the header.")(fn)
+    return fn
+
+
+def _pair_options(fn):
+    fn = click.option("--need", required=True, help=_NEED_HELP)(fn)
+    fn = click.option("--system-b", required=True, type=_IN_FILE)(fn)
+    fn = click.option("--system-a", required=True, type=_IN_FILE)(fn)
     return fn
 
 
 @main.command("eval")
-@_eval_options
+@_fit_options
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the efficiency report JSON here.")
 @_handled
-def eval_cmd(system_path, system_format, space_path, need_spec, frontier_path, out):
+def eval_cmd(system, space, need, frontier, out):
     """Fit a naming system against a frontier: beta_l, inefficiency, gNID."""
-    run = _Run("eval", {"system": system_path, "system_format": system_format,
-                        "space": space_path, "need": need_spec,
-                        "frontier": str(frontier_path)})
-    space = _load_space(run, space_path, need_spec)
-    sys = reorder_naming_system(_read_system(run, system_path, system_format),
-                                space.meaning_labels)
-    front = _load_frontier(run, frontier_path, space)
-    report = fit_beta(sys, space, front)
-    payload = report.to_json_dict()
+    run = _Run()
+    report = fit_beta(*_fit_inputs(run, system, space, need, frontier))
     click.echo(
         f"beta_l={report.fitted_beta:.6g} inefficiency={report.inefficiency_bits:.6f} "
         f"gnid={report.gnid:.6f}"
     )
-    if out:
-        _write_json(run.add_output(out), payload)
-        run.write_manifest_beside(out)
+    run.write_json(out, report.to_json_dict())
 
 
 @main.command("baseline")
-@_eval_options
+@_fit_options
 @click.option("--samples", type=int, required=True,
               help="Number of random meaning permutations.")
 @click.option("--seed", type=int, required=True,
               help="Base seed; each sample draws from its own substream.")
-@click.option("--include-identity", is_flag=True,
-              help="Use the identity permutation as sample 0 (diagnostic).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_handled
-def baseline(system_path, system_format, space_path, need_spec, frontier_path,
-             samples, seed, include_identity, out):
+def baseline(system, space, need, frontier, samples, seed, out):
     """Permutation baseline: fit meaning-shuffled variants of a system."""
-    run = _Run("baseline", {"system": system_path, "system_format": system_format,
-                            "space": space_path, "need": need_spec,
-                            "frontier": str(frontier_path), "samples": samples,
-                            "include_identity": include_identity}, seed=seed)
-    space = _load_space(run, space_path, need_spec)
-    sys = reorder_naming_system(_read_system(run, system_path, system_format),
-                                space.meaning_labels)
-    front = _load_frontier(run, frontier_path, space)
-    summary = permutation_baseline(sys, space, front, samples, seed,
-                                   include_identity=include_identity)
+    run = _Run()
+    summary = permutation_baseline(*_fit_inputs(run, system, space, need, frontier),
+                                   samples, seed)
     click.echo(
         f"inefficiency {summary.inefficiency_mean:.4f} (+/-{summary.inefficiency_sd:.4f})  "
         f"gnid {summary.gnid_mean:.4f} (+/-{summary.gnid_sd:.4f})  n={samples}"
     )
-    if out:
-        _write_json(run.add_output(out), summary.to_json_dict())
-        run.write_manifest_beside(out)
-
-
-def _two_system_inputs(run, system_a, system_b, fmt, need_spec):
-    from .core import Distribution
-
-    sys_a = _read_system(run, system_a, fmt)
-    sys_b = reorder_naming_system(_read_system(run, system_b, fmt), sys_a.meaning_labels)
-    if need_spec == "uniform":
-        need = Distribution.uniform(sys_a.meaning_labels)
-    else:
-        need = read_prior_csv(run.add_input(need_spec))
-        if need.labels != sys_a.meaning_labels:
-            sys_a = reorder_naming_system(sys_a, need.labels)
-            sys_b = reorder_naming_system(sys_b, need.labels)
-    return sys_a, sys_b, need
+    run.write_json(out, summary.to_json_dict())
 
 
 @main.command("gnid")
-@click.option("--system-a", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--system-b", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--system-format", type=click.Choice(["auto", "counts", "matrix"]),
-              default="auto", show_default=True)
-@click.option("--need", "need_spec", required=True, help="'uniform' or a prior CSV.")
+@_pair_options
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_handled
-def gnid_cmd(system_a, system_b, system_format, need_spec, out):
+def gnid_cmd(system_a, system_b, need, out):
     """Dissimilarity between two naming systems over one meaning set."""
-    run = _Run("gnid", {"system_a": system_a, "system_b": system_b,
-                        "system_format": system_format, "need": need_spec})
-    sys_a, sys_b, need = _two_system_inputs(run, system_a, system_b, system_format,
-                                            need_spec)
-    value = gnid_measure(sys_a, sys_b, need)
+    run = _Run()
+    value = gnid_measure(*_two_system_inputs(run, system_a, system_b, need))
     click.echo(f"gnid {value!r}")
-    if out:
-        _write_json(run.add_output(out), {"gnid": value})
-        run.write_manifest_beside(out)
+    run.write_json(out, {"gnid": value})
 
 
 @main.command("mixture")
-@click.option("--system-a", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--system-b", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--system-format", type=click.Choice(["auto", "counts", "matrix"]),
-              default="auto", show_default=True)
-@click.option("--need", "need_spec", required=True, help="'uniform' or a prior CSV.")
+@_pair_options
 @click.option("--weight", type=float, default=0.5, show_default=True,
               help="Probability of speaking system A.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_handled
-def mixture(system_a, system_b, system_format, need_spec, weight, out):
+def mixture(system_a, system_b, need, weight, out):
     """Complexity of the joint two-language encoder (disjoint word alphabets)."""
-    run = _Run("mixture", {"system_a": system_a, "system_b": system_b,
-                           "system_format": system_format, "need": need_spec,
-                           "weight": weight})
-    sys_a, sys_b, need = _two_system_inputs(run, system_a, system_b, system_format,
-                                            need_spec)
-    bits = mixture_complexity(sys_a, sys_b, need, weight=weight)
+    run = _Run()
+    bits = mixture_complexity(*_two_system_inputs(run, system_a, system_b, need),
+                              weight=weight)
     click.echo(f"mixture_complexity_bits {bits!r}")
-    if out:
-        _write_json(run.add_output(out), {"mixture_complexity_bits": bits, "weight": weight})
-        run.write_manifest_beside(out)
+    run.write_json(out, {"mixture_complexity_bits": bits, "weight": weight})
 
 
 @main.command("hierarchy")
-@click.option("--frontier", "frontier_path", required=True, type=click.Path(exists=True))
-@click.option("--space", "space_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--need", "need_spec", required=True)
-@click.option("--k", "ks", required=True,
+@click.option("--frontier", required=True, type=click.Path(exists=True))
+@click.option("--space", required=True, type=_IN_FILE)
+@click.option("--need", required=True, help=_NEED_HELP)
+@click.option("--k", required=True,
               help="Comma-separated effective category counts, e.g. 1,2,3,4.")
 @click.option("--top-n", type=int, default=5, show_default=True)
 @click.option("--threshold", type=float, default=DEFAULT_CATEGORY_MASS_THRESHOLD,
@@ -427,20 +382,17 @@ def mixture(system_a, system_b, system_format, need_spec, weight, out):
 @click.option("--out-json", type=click.Path(dir_okay=False), default=None)
 @click.option("--out-text", type=click.Path(dir_okay=False), default=None)
 @_handled
-def hierarchy(frontier_path, space_path, need_spec, ks, top_n, threshold,
-              out_json, out_text):
+def hierarchy(frontier, space, need, k, top_n, threshold, out_json, out_text):
     """Layered category report: most informative system per requested k."""
     try:
-        k_list = [int(k) for k in ks.split(",") if k.strip()]
+        k_list = [int(x) for x in k.split(",") if x.strip()]
     except ValueError:
-        raise click.UsageError(f"--k must be a comma-separated integer list, got {ks!r}")
+        raise click.UsageError(f"--k must be a comma-separated integer list, got {k!r}")
     if not k_list:
         raise click.UsageError("--k lists no values")
-    run = _Run("hierarchy", {"frontier": str(frontier_path), "space": space_path,
-                             "need": need_spec, "k": k_list, "top_n": top_n,
-                             "threshold": threshold})
-    space = _load_space(run, space_path, need_spec)
-    front = _load_frontier(run, frontier_path, space)
+    run = _Run()
+    space = _load_space(run, space, need)
+    front = _load_frontier(run, frontier, space)
     report = hierarchy_report(front, k_list, space, top_n=top_n, threshold=threshold)
     click.echo(report.to_text())
     if out_json:

@@ -34,6 +34,11 @@ from .core import (
     _freeze,
 )
 
+# li_prior's fit: the largest word-frequency residual it stops at, and the
+# share of the log-ratio correction each step applies.
+_LI_TOL = 1e-9
+_LI_DAMPING = 0.5
+
 
 class IterativeScalingError(IBNamingError):
     """The least-informative-prior fit failed to reach its residual target."""
@@ -211,8 +216,8 @@ def naming_weights_from_counts(counts: NamingCounts, meaning_order) -> np.ndarra
     return w / w.sum()
 
 
-def li_prior(systems, epsilon: float = 0.001, meaning_weights=None, tol: float = 1e-9,
-             max_iterations: int = 100_000, damping: float = 0.5) -> Distribution:
+def li_prior(systems, epsilon: float = 0.001, meaning_weights=None,
+             max_iterations: int = 100_000) -> Distribution:
     """Least-informative need prior consistent with observed word frequencies.
 
     For each system the maximum-entropy p(m) subject to
@@ -257,13 +262,13 @@ def li_prior(systems, epsilon: float = 0.001, meaning_weights=None, tol: float =
             p /= p.sum()
             ew = p @ enc
             resid = float(np.max(np.abs(ew - target)))
-            if resid < tol:
+            if resid < _LI_TOL:
                 break
             ok = (target > 0) & (ew > 0)
-            lam += damping * np.log(np.divide(target, ew, out=np.ones_like(ew), where=ok))
+            lam += _LI_DAMPING * np.log(np.divide(target, ew, out=np.ones_like(ew), where=ok))
         else:
             raise IterativeScalingError(
-                f"LI prior fit did not reach residual {tol:g} within "
+                f"LI prior fit did not reach residual {_LI_TOL:g} within "
                 f"{max_iterations} iterations (residual {resid:.3g})"
             )
         priors.append(p)

@@ -74,7 +74,10 @@ _MIX_BLOCK = 4096
 # way and ended 1e-6 bits higher in F.
 _WEIGHT_DRIFT = 4.0
 # Evaluations before the first in-loop check for duplicate words; the checks
-# then come at doubling intervals.
+# then come at doubling intervals. Merging only at a candidate stop keeps the
+# encoders wider for longer: on the seed-1 container-sweep bench instance (12
+# betas to 1024, 2-vCPU host) the sweep then needs 1024 evaluations instead of
+# 1060, but 2.45 s instead of 1.72 s (median of 5).
 _DUPLICATE_CHECK = 16
 # Two contraction ratios of consecutive plain updates that agree within this
 # share of 1 - ratio mark a geometric tail.

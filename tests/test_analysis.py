@@ -189,16 +189,6 @@ class TestGnid:
 
 
 class TestPermutationBaseline:
-    def test_identity_sample_matches_actual(self, rng):
-        space = random_space(rng, 5, 4)
-        front = make_frontier(space, beta_max=16, num=25)
-        sys = random_system(rng, space, 3)
-        actual = fit_beta(sys, space, front)
-        summary = permutation_baseline(sys, space, front, 1, seed=9,
-                                       include_identity=True)
-        assert summary.inefficiency_mean == actual.inefficiency_bits
-        assert summary.gnid_mean == actual.gnid
-
     def test_uniform_need_preserves_complexity(self, rng):
         labels = tuple(f"m{i}" for i in range(5))
         space = MeaningSpace.create(rng.dirichlet(np.ones(4), size=5),
@@ -258,10 +248,8 @@ class TestStackedBaseline:
     that fit_beta gives its permuted system alone."""
 
     @pytest.mark.parametrize("sparse", [False, True])
-    @pytest.mark.parametrize("include_identity", [False, True])
     @pytest.mark.parametrize("chunk", [1, 7])
-    def test_matches_one_fit_per_sample(self, rng, monkeypatch, sparse, include_identity,
-                                        chunk):
+    def test_matches_one_fit_per_sample(self, rng, monkeypatch, sparse, chunk):
         space = random_space(rng, 6, 5, sparse=sparse)
         front = make_frontier(space, beta_max=16, num=25)
         sys = random_system(rng, space, 4)
@@ -270,11 +258,8 @@ class TestStackedBaseline:
         num_samples, seed = 3 * chunk + 4, 11
         eps, gn = np.empty(num_samples), np.empty(num_samples)
         for i in range(num_samples):
-            if include_identity and i == 0:
-                perm = np.arange(6)
-            else:
-                perm = np.random.default_rng(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(i,))).permutation(6)
+            perm = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(i,))).permutation(6)
             permuted = NamingSystem(sys.encoder[perm], sys.word_labels, sys.meaning_labels)
             report = fit_beta(permuted, space, front)
             eps[i], gn[i] = report.inefficiency_bits, report.gnid
@@ -282,8 +267,7 @@ class TestStackedBaseline:
             assert report.matched_index == index
             assert abs(eps[i] - scalar_eps) <= 1e-12
             assert abs(gn[i] - scalar_gnid) <= 1e-12
-        summary = permutation_baseline(sys, space, front, num_samples, seed,
-                                       include_identity=include_identity)
+        summary = permutation_baseline(sys, space, front, num_samples, seed)
         assert summary.num_samples == num_samples
         assert abs(summary.inefficiency_mean - eps.mean()) <= 1e-12
         assert abs(summary.inefficiency_sd - eps.std()) <= 1e-12

@@ -7,7 +7,12 @@ import pytest
 from click.testing import CliRunner
 
 from ibnaming.cli import main
-from ibnaming.ingest import read_similarity_csv
+from ibnaming.ingest import (
+    naming_system_from_counts,
+    read_naming_counts,
+    read_similarity_csv,
+    write_encoder_csv,
+)
 
 from conftest import FIXTURES
 
@@ -41,6 +46,13 @@ def build_container_pipeline(runner, root: Path, num_betas: int = 60,
                     "--beta-max", str(beta_max), "--num-betas", str(num_betas),
                     "--out", str(paths["front"])])
     return paths
+
+
+def naming_a_as_matrix(path: Path) -> Path:
+    """The fixture naming_a.tsv written as an encoder matrix CSV."""
+    write_encoder_csv(naming_system_from_counts(
+        read_naming_counts(FIXTURES / "naming_a.tsv")), path)
+    return path
 
 
 class TestPipelineComposability:
@@ -154,6 +166,36 @@ class TestPipelineComposability:
                                  "--need", "uniform", "--weight", "0.5"])
         assert "mixture_complexity_bits" in result.output
 
+    def test_eval_reads_a_frontier_encoder_as_a_matrix(self, runner, tmp_path):
+        paths = build_container_pipeline(runner, tmp_path, num_betas=40)
+        out = tmp_path / "eval.json"
+        run_ok(runner, ["eval",
+                        "--system", str(paths["front"] / "encoders" / "point_00030.csv"),
+                        "--space", str(paths["space"]), "--need", str(paths["prior"]),
+                        "--frontier", str(paths["front"]), "--out", str(out)])
+        assert abs(json.loads(out.read_text())["inefficiency_bits"]) <= 1e-9
+
+    def test_gnid_pairs_counts_with_a_matrix(self, runner, tmp_path):
+        matrix = naming_a_as_matrix(tmp_path / "naming_a_matrix.csv")
+        values = []
+        for system_b in (FIXTURES / "naming_a.tsv", matrix):
+            out = tmp_path / f"gnid_{system_b.stem}.json"
+            run_ok(runner, ["gnid", "--system-a", str(FIXTURES / "naming_b.tsv"),
+                            "--system-b", str(system_b), "--need", "uniform",
+                            "--out", str(out)])
+            values.append(json.loads(out.read_text())["gnid"])
+        assert 0.0 < values[0] <= 1.0
+        assert values[1] == pytest.approx(values[0], abs=1e-12)
+
+    def test_matrix_with_a_counts_header_exits_one(self, runner, tmp_path):
+        matrix = naming_a_as_matrix(tmp_path / "matrix.csv")
+        matrix.write_text("meaning_label" + matrix.read_text()[len("meaning"):])
+        result = runner.invoke(main, ["gnid", "--system-a", str(matrix),
+                                      "--system-b", str(FIXTURES / "naming_b.tsv"),
+                                      "--need", "uniform"])
+        assert result.exit_code == 1, result.output
+        assert "header must start with meaning_label,word_label,count" in result.output
+
     def test_hierarchy(self, runner, tmp_path):
         space = tmp_path / "aspace.csv"
         need = tmp_path / "aneed.csv"
@@ -255,6 +297,17 @@ class TestExitCodes:
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
         assert "seed" in lines[0]
+
+    @pytest.mark.parametrize("args", [
+        ["frontier", "--prune-threshold", "0"],
+        ["baseline", "--include-identity"],
+        *([command, "--system-format", "counts"]
+          for command in ("eval", "baseline", "gnid", "mixture")),
+    ], ids=" ".join)
+    def test_removed_options_exit_two(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output and args[1] in result.output
 
     def test_unknown_subcommand_exits_two(self, runner):
         result = runner.invoke(main, ["transmogrify"])
@@ -417,3 +470,59 @@ class TestConfigFile:
                         "--num-betas", "8", "--out", str(out2)])
         meta2 = json.loads((out2 / "frontier_meta.json").read_text())
         assert meta2["num_points"] == 8
+
+    def test_config_supplies_samples_and_seed_to_baseline(self, runner, tmp_path):
+        paths = build_container_pipeline(runner, tmp_path, num_betas=12)
+        cfg = tmp_path / "cfg.json"
+        # keyed by the flag names, including flags whose values are paths
+        cfg.write_text(json.dumps({"samples": 6, "seed": 4, "need": str(paths["prior"])}))
+        common = ["--system", str(FIXTURES / "naming_a.tsv"), "--space", str(paths["space"]),
+                  "--frontier", str(paths["front"])]
+        run_ok(runner, ["--config", str(cfg), "baseline", *common,
+                        "--out", str(tmp_path / "b1.json")])
+        run_ok(runner, ["baseline", *common, "--need", str(paths["prior"]),
+                        "--samples", "6", "--seed", "4", "--out", str(tmp_path / "b2.json")])
+        summary = json.loads((tmp_path / "b1.json").read_text())
+        assert (summary["num_samples"], summary["seed"]) == (6, 4)
+        assert (tmp_path / "b1.json").read_bytes() == (tmp_path / "b2.json").read_bytes()
+        manifest = json.loads((tmp_path / "b1.json.manifest.json").read_text())
+        assert manifest["seed"] == 4
+
+
+class TestManifests:
+    def test_config_is_the_parsed_parameters(self, runner, tmp_path):
+        paths = build_container_pipeline(runner, tmp_path, num_betas=12)
+        fit = {"system": str(FIXTURES / "naming_a.tsv"), "space": str(paths["space"]),
+               "need": str(paths["prior"]), "frontier": str(paths["front"])}
+        pair = {"system_a": str(FIXTURES / "naming_a.tsv"),
+                "system_b": str(FIXTURES / "naming_b.tsv"), "need": "uniform"}
+        cases = {
+            "eval": fit,
+            "baseline": {**fit, "samples": 3, "seed": 2},
+            "gnid": pair,
+            "mixture": {**pair, "weight": 0.25},
+        }
+        for command, params in cases.items():
+            out = str(tmp_path / f"{command}.json")
+            args = [command]
+            for name, value in params.items():
+                args += ["--" + name.replace("_", "-"), str(value)]
+            run_ok(runner, [*args, "--out", out])
+            manifest = json.loads(Path(out + ".manifest.json").read_text())
+            assert manifest["command"] == command
+            assert manifest["config"] == {**params, "out": out}
+            assert manifest["seed"] == params.get("seed")
+        manifest = json.loads((paths["front"] / "manifest.json").read_text())
+        assert manifest["config"] == {
+            "space": str(paths["space"]), "need": str(paths["prior"]), "beta_max": 32.0,
+            "num_betas": 12, "tol": 1e-12, "max_iterations": 30000,
+            "out": str(paths["front"]),
+        }
+        hout = str(tmp_path / "h.json")
+        run_ok(runner, ["hierarchy", "--frontier", fit["frontier"], "--space", fit["space"],
+                        "--need", fit["need"], "--k", "1", "--out-json", hout])
+        manifest = json.loads(Path(hout + ".manifest.json").read_text())
+        assert manifest["config"] == {
+            "frontier": fit["frontier"], "space": fit["space"], "need": fit["need"],
+            "k": "1", "top_n": 5, "threshold": 1e-5, "out_json": hout, "out_text": None,
+        }
