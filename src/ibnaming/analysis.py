@@ -7,18 +7,21 @@ inefficiency, and the matched optimal encoder for the gNID comparison.
 The fit takes a stack of encoders along a leading axis and scores them all
 with one pass of the array kernels of ``measures``: ``fit_beta`` fits a
 stack of one, and permutation baselines fit meaning-shuffled variants of
-the system in stacked chunks. Mixture complexity scores a two-language joint
-encoder over a language-tagged (disjoint) word alphabet.
+the system in stacked chunks, spread over forked processes. Mixture
+complexity scores a two-language joint encoder over a language-tagged
+(disjoint) word alphabet.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import (
     Distribution,
+    IBNamingError,
     MeaningSpace,
     NamingSystem,
     ValidationError,
@@ -131,11 +134,12 @@ class _StackFit:
         self.log_m0 = _log(space.prior_representation)
         self.self_information: dict[int, float] = {}  # I(W2;W2') per matched point
 
-    def __call__(self, enc: np.ndarray) -> tuple[np.ndarray, ...]:
+    def __call__(self, enc: np.ndarray, log_enc: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, ...]:
         """Complexity, accuracy, eps, matched point index and gNID, one
-        entry per encoder."""
+        entry per encoder. ``log_enc``, if given, is ``_log(enc)``."""
         qw, joint, mhat = _listener(self.p, enc, self.reps)
-        c = _complexity(joint, _log(enc), _log(qw)) / _LN2
+        c = _complexity(joint, _log(enc) if log_enc is None else log_enc, _log(qw)) / _LN2
         a = _accuracy(qw, mhat, _log(mhat), self.log_m0) / _LN2
         # one row per encoder, one column per point with beta > 0; argmin
         # takes the first minimum, so ties go to the smaller beta
@@ -227,8 +231,11 @@ def permutation_baseline(sys: NamingSystem, space: MeaningSpace, frontier: Front
 
     The samples are fitted in chunks: one stacked (B, n, k) array of
     permuted encoders at a time, sized from the shapes so that the largest
-    stacked temporary stays near 256 KB. The chunking decides only how many
-    samples share a stack, never which permutation a sample gets.
+    stacked temporary stays near 256 KB. The chunks are split into
+    contiguous runs of whole chunks, one run per available CPU: this process
+    fits the first run and a forked child fits each other one. Every chunk
+    is the one a single process would fit, so neither the chunking nor the
+    core count changes a sample's permutation or a bit of the summary.
     """
     if num_samples < 1:
         raise ValidationError([f"num_samples must be >= 1, got {num_samples}"])
@@ -238,17 +245,28 @@ def permutation_baseline(sys: NamingSystem, space: MeaningSpace, frontier: Front
     _align(sys, space)
     n, k = sys.encoder.shape
     chunk = max(1, _STACK_ENTRIES // max(n * k, k * space.num_universe))
+    log_enc = _log(sys.encoder)
 
-    def permutation(i: int) -> np.ndarray:
-        stream = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-        return np.random.default_rng(stream).permutation(n)
+    def fit_run(start: int, stop: int) -> np.ndarray:
+        """The eps of samples start..stop-1, then their gNIDs."""
+        out = np.empty((2, stop - start))
+        perms = np.empty((min(chunk, stop - start), n), dtype=np.intp)
+        for lo in range(start, stop, chunk):
+            rows = perms[:min(chunk, stop - lo)]
+            # Generator.permutation(n) shuffles an arange(n): the same numbers
+            rows[:] = np.arange(n)
+            for i, row in enumerate(rows, lo):
+                stream = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+                np.random.default_rng(stream).shuffle(row)
+            at = slice(lo - start, lo - start + len(rows))
+            _, _, out[0, at], _, out[1, at] = fit(sys.encoder[rows], log_enc[rows])
+        return out
 
-    eps = np.empty(num_samples)
-    gn = np.empty(num_samples)
-    for start in range(0, num_samples, chunk):
-        stop = min(start + chunk, num_samples)
-        perms = np.array([permutation(i) for i in range(start, stop)])
-        _, _, eps[start:stop], _, gn[start:stop] = fit(sys.encoder[perms])
+    num_chunks = -(-num_samples // chunk)
+    procs = min(_cpu_count(), num_chunks)
+    bounds = [min(num_samples, r * num_chunks // procs * chunk) for r in range(procs + 1)]
+    eps, gn = np.hstack([run.reshape(2, -1)
+                         for run in _forked_runs(fit_run, list(zip(bounds, bounds[1:])))])
     return BaselineSummary(
         num_samples=num_samples,
         inefficiency_mean=float(eps.mean()),
@@ -257,6 +275,80 @@ def permutation_baseline(sys: NamingSystem, space: MeaningSpace, frontier: Front
         gnid_sd=float(gn.std()),
         seed=seed,
     )
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Child:
+    """A forked process that computes ``fn(*args)``, a float64 array, and
+    sends its bytes back through a pipe; on an exception it sends the message
+    instead and exits 1. The child always ends with ``os._exit``, so it runs
+    no cleanup of the parent's, and ``inherited`` are file objects of the
+    parent's that it closes first."""
+
+    def __init__(self, fn, args, inherited):
+        self.args = args
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                for f in inherited:
+                    f.close()
+                with open(write_fd, "wb") as out:
+                    try:
+                        out.write(fn(*args).tobytes())
+                        code = 0
+                    except Exception as e:
+                        out.write(f"{type(e).__name__}: {e}".encode())
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        self.reader = open(read_fd, "rb")
+        self.exit_code: int | None = None
+
+    def result(self) -> np.ndarray:
+        data = self.reader.read()
+        code = self.reap()
+        if code:
+            why = data.decode(errors="replace") if code > 0 else f"killed by signal {-code}"
+            raise IBNamingError(f"baseline worker for samples {self.args[0]} to "
+                                f"{self.args[1] - 1} failed: {why}")
+        return np.frombuffer(data)
+
+    def reap(self) -> int:
+        """Close the pipe and wait for the child to exit. A child still
+        fitting finishes its run, finds the pipe closed and exits."""
+        self.reader.close()
+        if self.exit_code is None:
+            self.exit_code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.exit_code
+
+
+def _forked_runs(fn, runs: list[tuple]) -> list[np.ndarray]:
+    """``fn(*run)`` for each run, in order: the first in this process, each
+    other in a forked child (``_Child``). Threads would not help, as the draws
+    and the small numpy calls hold the GIL. Every child is reaped before this
+    returns or raises."""
+    children: list[_Child] = []
+    try:
+        for run in runs[1:]:
+            children.append(_Child(fn, run, [c.reader for c in children]))
+        return [fn(*runs[0])] + [c.result() for c in children]
+    finally:
+        for c in children:
+            c.reap()
 
 
 def mixture_complexity(sys_a: NamingSystem, sys_b: NamingSystem, need: Distribution,

@@ -190,10 +190,18 @@ def _two_system_inputs(run: _Run, system_a, system_b, need):
 def main(ctx, config_path):
     """Information Bottleneck efficiency frontiers for naming systems."""
     if config_path:
-        flat = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        try:
+            flat = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise click.UsageError(f"config file {config_path} is not UTF-8 JSON: {e}")
         if not isinstance(flat, dict):
             raise click.UsageError("config file must hold a flat JSON object")
         normalized = {str(k).replace("-", "_"): v for k, v in flat.items()}
+        # one file serves every command, so a key need only name an option of one
+        known = {p.name for cmd in main.commands.values() for p in cmd.params}
+        unknown = sorted(k for k in flat if k.replace("-", "_") not in known)
+        if unknown:
+            raise click.UsageError(f"config file key names no option: {', '.join(unknown)}")
         ctx.default_map = {name: dict(normalized) for name in main.commands}
 
 

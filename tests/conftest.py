@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -10,3 +11,15 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20250809)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = f"process {pid} exited unreaped" if pid else "a child process is still running"
+    pytest.fail(f"the test left a child behind: {state}")

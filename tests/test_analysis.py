@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from ibnaming import (
     Distribution,
     FingerprintMismatchError,
     Frontier,
+    IBNamingError,
     MeaningSpace,
     NamingSystem,
     SolverConfig,
@@ -273,6 +276,107 @@ class TestStackedBaseline:
         assert abs(summary.inefficiency_sd - eps.std()) <= 1e-12
         assert abs(summary.gnid_mean - gn.mean()) <= 1e-12
         assert abs(summary.gnid_sd - gn.std()) <= 1e-12
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Injected(Exception):
+    pass
+
+
+class TestForkedBaseline:
+    """The baseline splits its chunks into runs, one per CPU, and fits all but
+    the first in forked children; the summary must not depend on the split."""
+
+    @pytest.fixture
+    def instance(self, rng):
+        space = random_space(rng, 6, 5)
+        return random_system(rng, space, 4), space, make_frontier(space, beta_max=16, num=25)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children forked during a test."""
+        pids = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return pids
+
+    # 11 samples in chunks of 2, 4, 6 and 12 samples: 6, 3, 2 and 1 chunks,
+    # the last of each short
+    @pytest.mark.parametrize("chunk", [2, 4, 6, 12])
+    def test_summary_independent_of_cpu_count(self, instance, monkeypatch, forks, chunk):
+        sys, space, front = instance
+        monkeypatch.setattr(analysis, "_STACK_ENTRIES", chunk * 6 * 4)
+        summaries = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(analysis, "_cpu_count", lambda: cpus)
+            forks.clear()
+            summaries[cpus] = permutation_baseline(sys, space, front, 11, seed=3)
+            assert len(forks) == min(cpus, -(-11 // chunk)) - 1
+            assert_no_child_left()
+        one = dataclasses.asdict(summaries[1])
+        for cpus in (2, 3):
+            for name, value in dataclasses.asdict(summaries[cpus]).items():
+                assert value == one[name], (cpus, name)
+
+    def test_child_result_larger_than_a_pipe_buffer(self, instance, monkeypatch, forks):
+        sys, space, front = instance
+        # 9,000 samples in 2 runs: the child sends 4,500 x 2 floats, 72 KB
+        monkeypatch.setattr(analysis, "_STACK_ENTRIES", 500 * 6 * 4)
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
+        one = permutation_baseline(sys, space, front, 9000, seed=8)
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+        assert permutation_baseline(sys, space, front, 9000, seed=8) == one
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def _fail_in(self, monkeypatch, child: bool, how, cpus: int = 3):
+        """11 samples in chunks of 2 on ``cpus`` processes, with the stacked fit
+        calling ``how()`` first in each child if ``child``, else in the parent."""
+        parent, fit = os.getpid(), analysis._StackFit.__call__
+
+        def failing_fit(self, *args):
+            if (os.getpid() != parent) == child:
+                how()
+            return fit(self, *args)
+
+        monkeypatch.setattr(analysis._StackFit, "__call__", failing_fit)
+        monkeypatch.setattr(analysis, "_STACK_ENTRIES", 2 * 6 * 4)
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: cpus)
+
+    @staticmethod
+    def _raise():
+        raise _Injected("injected failure")
+
+    def test_child_exception_surfaces_in_parent(self, instance, monkeypatch, forks):
+        self._fail_in(monkeypatch, True, self._raise)
+        with pytest.raises(IBNamingError, match="samples 4 to 7 failed: _Injected: injected"):
+            permutation_baseline(*instance, 11, seed=3)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_killed_child_surfaces_in_parent(self, instance, monkeypatch, forks):
+        self._fail_in(monkeypatch, True, lambda: os.kill(os.getpid(), signal.SIGKILL), cpus=2)
+        with pytest.raises(IBNamingError, match="killed by signal 9"):
+            permutation_baseline(*instance, 11, seed=3)
+        assert_no_child_left()
+
+    def test_parent_exception_reaps_children(self, instance, monkeypatch, forks):
+        self._fail_in(monkeypatch, False, self._raise)
+        with pytest.raises(_Injected, match="injected failure"):
+            permutation_baseline(*instance, 11, seed=3)
+        assert len(forks) == 2
+        assert_no_child_left()
 
 
 class TestMixtureComplexity:

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ibnaming import analysis
 from ibnaming.cli import main
 from ibnaming.ingest import (
     naming_system_from_counts,
@@ -298,6 +300,30 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
         assert "seed" in lines[0]
 
+    def test_failed_baseline_worker_exits_one(self, runner, tmp_path, monkeypatch):
+        paths = build_container_pipeline(runner, tmp_path, num_betas=12)
+        parent, fit = os.getpid(), analysis._StackFit.__call__
+
+        def failing_fit(self, *args):
+            if os.getpid() != parent:
+                raise MemoryError("injected")
+            return fit(self, *args)
+
+        monkeypatch.setattr(analysis._StackFit, "__call__", failing_fit)
+        monkeypatch.setattr(analysis, "_STACK_ENTRIES", 1)  # one sample per chunk
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+        result = runner.invoke(main, ["baseline", "--system", str(FIXTURES / "naming_a.tsv"),
+                                      "--space", str(paths["space"]),
+                                      "--need", str(paths["prior"]),
+                                      "--frontier", str(paths["front"]),
+                                      "--samples", "4", "--seed", "1"])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1, result.output
+        assert lines[0] == ("Error: baseline worker for samples 2 to 3 failed: "
+                            "MemoryError: injected")
+
     @pytest.mark.parametrize("args", [
         ["frontier", "--prune-threshold", "0"],
         ["baseline", "--include-identity"],
@@ -487,6 +513,38 @@ class TestConfigFile:
         assert (tmp_path / "b1.json").read_bytes() == (tmp_path / "b2.json").read_bytes()
         manifest = json.loads((tmp_path / "b1.json.manifest.json").read_text())
         assert manifest["seed"] == 4
+
+
+    @pytest.mark.parametrize("content", [b'{"samples": ', b"\xff\xfe{"],
+                             ids=["truncated", "not-utf8"])
+    def test_unreadable_config_exits_two(self, runner, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        result = runner.invoke(main, ["--config", str(cfg), "make-space",
+                                      "--out", str(tmp_path / "s.csv")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1, result.output
+        assert errors[0].startswith(f"Error: config file {cfg} is not UTF-8 JSON: ")
+
+    def test_key_of_no_command_exits_two_naming_it(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gama": 0.5, "num-betas": 8, "bogus_key": 1}))
+        result = runner.invoke(main, ["--config", str(cfg), "make-space",
+                                      "--similarity", str(FIXTURES / "similarity.csv"),
+                                      "--out", str(tmp_path / "s.csv")])
+        assert result.exit_code == 2, result.output
+        assert "Error: config file key names no option: bogus_key, gama" in result.output
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_key_of_another_command_is_accepted(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 5, "num-betas": 8, "top_n": 3}))
+        for args in (["--config", str(cfg)], []):
+            run_ok(runner, [*args, "make-space", "--similarity", str(FIXTURES / "similarity.csv"),
+                            "--out", str(tmp_path / f"s{len(args)}.csv")])
+        assert (tmp_path / "s2.csv").read_bytes() == (tmp_path / "s0.csv").read_bytes()
 
 
 class TestManifests:
