@@ -33,7 +33,6 @@ from .solver import (
     SolverConfig,
     anneal_frontier,
     default_beta_grid,
-    effective_category_count,
     fixed_point_delta,
     select_most_informative_with_k,
     solve_at_beta,

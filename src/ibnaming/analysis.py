@@ -370,10 +370,10 @@ def mixture_complexity(sys_a: NamingSystem, sys_b: NamingSystem, need: Distribut
     return complexity(NamingSystem(joint, words, sys_a.meaning_labels), need)
 
 
-def category_profiles(point: FrontierPoint, space: MeaningSpace, top_n: int = 5,
-                      threshold: float = DEFAULT_CATEGORY_MASS_THRESHOLD
-                      ) -> tuple[CategoryProfile, ...]:
-    """One profile per above-threshold word, heaviest category first.
+def category_profiles(point: FrontierPoint, space: MeaningSpace,
+                      top_n: int = 5) -> tuple[CategoryProfile, ...]:
+    """One profile per word whose mass exceeds DEFAULT_CATEGORY_MASS_THRESHOLD
+    (the point's effective_k of them), heaviest category first.
 
     Meanings are ranked by q(m|w) and features by the reconstruction
     m_hat_w(u); ties keep the original index order. Lists are capped at the
@@ -384,7 +384,7 @@ def category_profiles(point: FrontierPoint, space: MeaningSpace, top_n: int = 5,
     qw, joint, mhat = _listener(space.require_need().mass, sys.encoder, space.representations)
     profiles = []
     for j in np.argsort(-qw, kind="stable"):
-        if qw[j] <= threshold:
+        if qw[j] <= DEFAULT_CATEGORY_MASS_THRESHOLD:
             continue
         post = joint[:, j] / qw[j]
         m_top = np.argsort(-post, kind="stable")[:top_n]
@@ -449,17 +449,17 @@ class HierarchyReport:
         return "\n".join(lines)
 
 
-def hierarchy_report(frontier: Frontier, ks, space: MeaningSpace, top_n: int = 5,
-                     threshold: float = DEFAULT_CATEGORY_MASS_THRESHOLD) -> HierarchyReport:
+def hierarchy_report(frontier: Frontier, ks, space: MeaningSpace,
+                     top_n: int = 5) -> HierarchyReport:
     """Most informative k-category system for each requested k, ascending."""
     layers = []
     for k in sorted(set(int(k) for k in ks)):
-        point = select_most_informative_with_k(frontier, k, threshold)
+        point = select_most_informative_with_k(frontier, k)
         layers.append(HierarchyLayer(
             k=k,
             beta=point.beta,
             complexity_bits=point.complexity_bits,
             accuracy_bits=point.accuracy_bits,
-            profiles=category_profiles(point, space, top_n, threshold),
+            profiles=category_profiles(point, space, top_n),
         ))
     return HierarchyReport(tuple(layers))

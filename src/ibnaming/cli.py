@@ -36,9 +36,9 @@ from .ingest import (
     meaning_space_from_similarity,
     naming_system_from_counts,
     naming_weights_from_counts,
-    read_encoder_csv,
     read_feature_table,
     read_naming_counts,
+    read_naming_system,
     read_prior_csv,
     read_similarity_csv,
     read_space_csv,
@@ -46,13 +46,7 @@ from .ingest import (
     write_prior_csv,
     write_space_csv,
 )
-from .solver import (
-    DEFAULT_CATEGORY_MASS_THRESHOLD,
-    Frontier,
-    SolverConfig,
-    anneal_frontier,
-    default_beta_grid,
-)
+from .solver import Frontier, SolverConfig, anneal_frontier, default_beta_grid
 
 _IN_FILE = click.Path(exists=True, dir_okay=False)
 _NEED_HELP = "'uniform' or a prior CSV."
@@ -154,14 +148,8 @@ def _load_frontier(run: _Run, path, space: MeaningSpace) -> Frontier:
 
 
 def _read_system(run: _Run, path) -> NamingSystem:
-    """A naming-count file if its first header cell is ``meaning_label``,
-    otherwise an encoder matrix."""
-    path = run.add_input(path)
-    with open(path, encoding="utf-8") as f:
-        first = f.readline().split("\t" if path.suffix.lower() == ".tsv" else ",")[0].strip()
-    if first == "meaning_label":
-        return naming_system_from_counts(read_naming_counts(path))
-    return read_encoder_csv(path, notes=run.notes)
+    """Naming counts or an encoder matrix, told apart by the header."""
+    return read_naming_system(run.add_input(path), notes=run.notes)
 
 
 def _fit_inputs(run: _Run, system, space, need, frontier):
@@ -384,13 +372,10 @@ def mixture(system_a, system_b, need, weight, out):
 @click.option("--k", required=True,
               help="Comma-separated effective category counts, e.g. 1,2,3,4.")
 @click.option("--top-n", type=int, default=5, show_default=True)
-@click.option("--threshold", type=float, default=DEFAULT_CATEGORY_MASS_THRESHOLD,
-              show_default=True,
-              help="Marginal mass above which a word counts as a category.")
 @click.option("--out-json", type=click.Path(dir_okay=False), default=None)
 @click.option("--out-text", type=click.Path(dir_okay=False), default=None)
 @_handled
-def hierarchy(frontier, space, need, k, top_n, threshold, out_json, out_text):
+def hierarchy(frontier, space, need, k, top_n, out_json, out_text):
     """Layered category report: most informative system per requested k."""
     try:
         k_list = [int(x) for x in k.split(",") if x.strip()]
@@ -401,7 +386,7 @@ def hierarchy(frontier, space, need, k, top_n, threshold, out_json, out_text):
     run = _Run()
     space = _load_space(run, space, need)
     front = _load_frontier(run, frontier, space)
-    report = hierarchy_report(front, k_list, space, top_n=top_n, threshold=threshold)
+    report = hierarchy_report(front, k_list, space, top_n=top_n)
     click.echo(report.to_text())
     if out_json:
         _write_json(run.add_output(out_json), report.to_json_dict())

@@ -28,15 +28,9 @@ import json
 from pathlib import Path
 
 from .core import MeaningSpace, ValidationError, _alignment_errors
-from .ingest import _fmt, read_encoder_csv, write_encoder_csv
+from .ingest import _csv_rows, _fmt, read_encoder_csv, write_encoder_csv
 from .measures import complexity
-from .solver import (
-    Frontier,
-    FrontierPoint,
-    SolverConfig,
-    _check_space,
-    effective_category_count,
-)
+from .solver import Frontier, FrontierPoint, SolverConfig, _category_count, _check_space
 
 FRONTIER_CSV = "frontier.csv"
 FRONTIER_META = "frontier_meta.json"
@@ -94,8 +88,8 @@ def load_frontier(path, space: MeaningSpace) -> Frontier:
     the grid in frontier_meta.json, and its encoder, encoders/point_i.csv,
     must have the space's meaning rows in order and match the row: the same
     effective_k and the same complexity within 1e-9 bits, both recomputed
-    from the space's need, as are the word masses. Metadata written with an
-    ``"encoders"`` key loads unchanged.
+    from the space's need. Metadata written with an ``"encoders"`` key loads
+    unchanged.
     """
     base = Path(path)
     csv_path = base / FRONTIER_CSV
@@ -113,8 +107,7 @@ def load_frontier(path, space: MeaningSpace) -> Frontier:
                                f"({type(e).__name__}: {e})"]) from None
     _check_space(fingerprint, space)
 
-    with open(csv_path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
+    rows = _csv_rows(csv_path)
     if not rows or rows[0] != _COLUMNS:
         raise ValidationError([f"{csv_path}: expected the header {','.join(_COLUMNS)}"])
 
@@ -137,19 +130,18 @@ def load_frontier(path, space: MeaningSpace) -> Frontier:
         errors = _alignment_errors(encoder, space)
         if errors:
             raise ValidationError([f"{enc_path}: {e}" for e in errors])
-        point = FrontierPoint(
-            beta=beta, complexity_bits=c, accuracy_bits=a, objective_bits=obj,
-            effective_k=effective_k, encoder=encoder, word_mass=need @ encoder.encoder,
-            converged=row[5] == "true", iterations=iterations,
-        )
-        encoder_k = effective_category_count(point)
+        encoder_k = _category_count(need @ encoder.encoder)
         encoder_c = complexity(encoder, space.need)
         if encoder_k != effective_k or abs(encoder_c - c) > _COMPLEXITY_TOL:
             raise ValidationError([
                 f"{enc_path}: the encoder has {encoder_k} categories and complexity "
                 f"{encoder_c!r} bits, but line {i + 2} of {FRONTIER_CSV} records "
                 f"effective_k {effective_k} and {c!r} bits"])
-        points.append(point)
+        points.append(FrontierPoint(
+            beta=beta, complexity_bits=c, accuracy_bits=a, objective_bits=obj,
+            effective_k=effective_k, encoder=encoder, converged=row[5] == "true",
+            iterations=iterations,
+        ))
     if len(points) < len(grid):
         raise ValidationError([f"{csv_path}, line {len(rows) + 1}: the file ends after "
                                f"{len(points)} rows, but the grid has {len(grid)} betas"])

@@ -346,12 +346,28 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _read_rows(path: Path, delimiter: str | None = None) -> list[list[str]]:
+def _csv_rows(path: Path, delimiter: str = ",") -> list[list[str]]:
+    """Every row of a CSV file, which must be UTF-8 text."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            return list(csv.reader(f, delimiter=delimiter))
+    except UnicodeDecodeError:
+        # the error's offset counts from the start of the chunk being decoded;
+        # UTF-8 never encodes a character with a \n or \r byte, so lines decode apart
+        for line, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ValidationError([f"{path}: line {line}: byte {raw[e.start]:#04x} "
+                                       "is not UTF-8 text"]) from None
+        raise
+
+
+def _read_rows(path: Path) -> list[list[str]]:
+    """Non-empty rows, tab-separated in a .tsv file, all as wide as the header."""
     path = Path(path)
-    if delimiter is None:
-        delimiter = "\t" if path.suffix.lower() == ".tsv" else ","
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = [row for row in csv.reader(f, delimiter=delimiter) if row]
+    rows = [row for row in _csv_rows(path, "\t" if path.suffix.lower() == ".tsv" else ",")
+            if row]
     if not rows:
         raise ValidationError([f"{path}: file is empty"])
     width = len(rows[0])
@@ -405,8 +421,10 @@ def read_similarity_csv(path) -> SimilarityMatrix:
 
 
 def read_naming_counts(path) -> NamingCounts:
-    path = Path(path)
-    rows = _read_rows(path)
+    return _naming_counts(_read_rows(path), Path(path))
+
+
+def _naming_counts(rows: list[list[str]], path: Path) -> NamingCounts:
     header = [c.strip() for c in rows[0]]
     required = ["meaning_label", "word_label", "count"]
     if header[: len(required)] != required:
@@ -464,10 +482,9 @@ def write_prior_csv(d: Distribution, path) -> None:
             w.writerow([lab, _fmt(x)])
 
 
-def _read_matrix_csv(path, create, notes: list[str] | None):
-    """Space or encoder CSV, built by ``create(values, column_labels, meaning_labels)``."""
-    path = Path(path)
-    rows = _read_rows(path)
+def _matrix(rows: list[list[str]], path: Path, create, notes: list[str] | None):
+    """Space or encoder from the rows of its CSV, built by
+    ``create(values, column_labels, meaning_labels)``."""
     columns = [c.strip() for c in rows[0][1:]]
     meanings = [row[0].strip() for row in rows[1:]]
     values = _float_matrix(rows, path)
@@ -486,7 +503,7 @@ def _write_matrix_csv(path, values: np.ndarray, columns, meanings) -> None:
 
 
 def read_space_csv(path, notes: list[str] | None = None) -> MeaningSpace:
-    return _read_matrix_csv(path, MeaningSpace.create, notes)
+    return _matrix(_read_rows(path), Path(path), MeaningSpace.create, notes)
 
 
 def write_space_csv(space: MeaningSpace, path) -> None:
@@ -495,7 +512,17 @@ def write_space_csv(space: MeaningSpace, path) -> None:
 
 
 def read_encoder_csv(path, notes: list[str] | None = None) -> NamingSystem:
-    return _read_matrix_csv(path, NamingSystem.create, notes)
+    return _matrix(_read_rows(path), Path(path), NamingSystem.create, notes)
+
+
+def read_naming_system(path, notes: list[str] | None = None) -> NamingSystem:
+    """Naming counts if the first header cell is ``meaning_label``,
+    otherwise an encoder matrix; the file is read once."""
+    path = Path(path)
+    rows = _read_rows(path)
+    if rows[0][0].strip() == "meaning_label":
+        return naming_system_from_counts(_naming_counts(rows, path))
+    return _matrix(rows, path, NamingSystem.create, notes)
 
 
 def write_encoder_csv(sys: NamingSystem, path) -> None:

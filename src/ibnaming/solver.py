@@ -36,18 +36,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import (
-    IBNamingError,
-    MeaningSpace,
-    NamingSystem,
-    ValidationError,
-    _freeze,
-)
+from .core import IBNamingError, MeaningSpace, NamingSystem, ValidationError
 from .measures import _LN2, _accuracy, _complexity, _distortion, _listener, _log
 
 # Words count toward the effective category number when their marginal mass
 # strictly exceeds this.
 DEFAULT_CATEGORY_MASS_THRESHOLD = 1e-5
+# Frontier.validate tolerates decreases and dips below the chord of up to this
+# many bits.
+_FRONTIER_SLACK = 1e-6
 # Reconstruction rows closer than this in max-norm describe the same category.
 # A category split across two words is a direction in which C, A and F do
 # not move, so the stopping rule leaves such words up to ~1e-7 apart, while
@@ -162,7 +159,8 @@ def default_beta_grid(beta_max: float, num_betas: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class FrontierPoint:
-    """One solved tradeoff: the optimal encoder at a single beta."""
+    """One solved tradeoff: the optimal encoder at a single beta; its
+    fields are a frontier.csv row and the encoder of that row."""
 
     beta: float
     complexity_bits: float
@@ -170,12 +168,8 @@ class FrontierPoint:
     objective_bits: float
     effective_k: int
     encoder: NamingSystem
-    word_mass: np.ndarray
     converged: bool
     iterations: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "word_mass", _freeze(self.word_mass))
 
 
 @dataclass(frozen=True)
@@ -196,7 +190,7 @@ class Frontier:
     def betas(self) -> np.ndarray:
         return np.array([p.beta for p in self.points])
 
-    def validate(self, slack: float = 1e-6) -> list[str]:
+    def validate(self) -> list[str]:
         """Monotonicity in beta and concavity of accuracy vs. complexity."""
         errors: list[str] = []
         b = self.betas
@@ -204,12 +198,12 @@ class Frontier:
             errors.append("points are not sorted by strictly increasing beta")
         c = np.array([p.complexity_bits for p in self.points])
         a = np.array([p.accuracy_bits for p in self.points])
-        for i in np.nonzero(np.diff(c) < -slack)[0]:
+        for i in np.nonzero(np.diff(c) < -_FRONTIER_SLACK)[0]:
             errors.append(
                 f"complexity decreases from beta={b[i]:.6g} to beta={b[i + 1]:.6g} "
                 f"({c[i]:.9g} -> {c[i + 1]:.9g})"
             )
-        for i in np.nonzero(np.diff(a) < -slack)[0]:
+        for i in np.nonzero(np.diff(a) < -_FRONTIER_SLACK)[0]:
             errors.append(
                 f"accuracy decreases from beta={b[i]:.6g} to beta={b[i + 1]:.6g} "
                 f"({a[i]:.9g} -> {a[i + 1]:.9g})"
@@ -219,7 +213,7 @@ class Frontier:
             if span <= 1e-12:
                 continue
             chord = a[i - 1] + (a[i + 1] - a[i - 1]) * (c[i] - c[i - 1]) / span
-            if a[i] < chord - slack:
+            if a[i] < chord - _FRONTIER_SLACK:
                 errors.append(
                     f"accuracy dips below the chord at beta={b[i]:.6g} "
                     f"({a[i]:.9g} < {chord:.9g})"
@@ -599,12 +593,19 @@ def _solve_arrays(ws: _Workspace, q0: np.ndarray, labels0: np.ndarray, beta: flo
     return state
 
 
+def _category_count(word_mass: np.ndarray) -> int:
+    """Number of words whose marginal mass strictly exceeds
+    DEFAULT_CATEGORY_MASS_THRESHOLD: a point's effective_k."""
+    return int(np.sum(word_mass > DEFAULT_CATEGORY_MASS_THRESHOLD))
+
+
 def _make_point(state: _SolveState, beta: float, word_names: tuple[str, ...],
                 meaning_labels: tuple[str, ...]) -> FrontierPoint:
     """The recorded point of a solve. Its encoder is built by
     ``NamingSystem.create``, as every reader builds one, so entries below
     PROB_FLOOR are exact zeros in memory, on disk and when loaded back; the
-    statistics and word masses are the solver's own."""
+    statistics and the word masses it counts categories on are the solver's
+    own."""
     labels = tuple(word_names[i] for i in state.labels)
     encoder = NamingSystem.create(state.q, labels, meaning_labels)
     return FrontierPoint(
@@ -612,9 +613,8 @@ def _make_point(state: _SolveState, beta: float, word_names: tuple[str, ...],
         complexity_bits=state.complexity,
         accuracy_bits=state.accuracy,
         objective_bits=state.objective,
-        effective_k=int(np.sum(state.qw > DEFAULT_CATEGORY_MASS_THRESHOLD)),
+        effective_k=_category_count(state.qw),
         encoder=encoder,
-        word_mass=state.qw,
         converged=state.converged,
         iterations=state.iterations,
     )
@@ -633,7 +633,7 @@ def solve_at_beta(space: MeaningSpace, beta: float, init: NamingSystem,
     if init.meaning_labels != space.meaning_labels:
         raise ValidationError(["init encoder meaning labels do not match the space"])
     if config is None:
-        config = SolverConfig(beta_grid=(float(beta),) if beta > 0 else (0.0,))
+        config = SolverConfig(beta_grid=(float(beta),))
     ws = _Workspace.for_space(space)
     state = _solve_arrays(ws, init.encoder, np.arange(init.num_words), beta, config)
     return _make_point(state, beta, init.word_labels, space.meaning_labels)
@@ -694,24 +694,15 @@ def fixed_point_delta(space: MeaningSpace, point: FrontierPoint) -> float:
     return abs(s1.objective - s0.objective)
 
 
-def effective_category_count(point: FrontierPoint,
-                             threshold: float = DEFAULT_CATEGORY_MASS_THRESHOLD) -> int:
-    """Number of words whose marginal mass strictly exceeds the threshold."""
-    return int(np.sum(point.word_mass > threshold))
-
-
-def select_most_informative_with_k(frontier: Frontier, k: int,
-                                   threshold: float = DEFAULT_CATEGORY_MASS_THRESHOLD
-                                   ) -> FrontierPoint:
+def select_most_informative_with_k(frontier: Frontier, k: int) -> FrontierPoint:
     """Highest-accuracy frontier point with exactly k effective categories."""
     if not frontier.points:
         raise ValidationError(["frontier has no points"])
     best: FrontierPoint | None = None
     seen: set[int] = set()
     for point in frontier.points:  # ascending beta; ties keep the smaller beta
-        count = effective_category_count(point, threshold)
-        seen.add(count)
-        if count == k and (best is None or point.accuracy_bits > best.accuracy_bits):
+        seen.add(point.effective_k)
+        if point.effective_k == k and (best is None or point.accuracy_bits > best.accuracy_bits):
             best = point
     if best is None:
         raise CategorySelectionError(

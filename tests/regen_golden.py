@@ -186,7 +186,8 @@ def _limit(space: ib.MeaningSpace, point: ib.FrontierPoint) -> ib.FrontierPoint:
 def _smallest_gap(space: ib.MeaningSpace, point: ib.FrontierPoint) -> float:
     """Smallest max-norm distance between reconstructions of counted words."""
     listener = ib.bayesian_listener(point.encoder, space)
-    rows = listener.reconstructions[point.word_mass > ib.DEFAULT_CATEGORY_MASS_THRESHOLD]
+    word_mass = space.need.mass @ point.encoder.encoder
+    rows = listener.reconstructions[word_mass > ib.DEFAULT_CATEGORY_MASS_THRESHOLD]
     if len(rows) < 2:
         return float("inf")
     gaps = np.abs(rows[:, None, :] - rows[None, :, :]).max(axis=2)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -179,8 +180,15 @@ class TestPipelineComposability:
 
     def test_gnid_pairs_counts_with_a_matrix(self, runner, tmp_path):
         matrix = naming_a_as_matrix(tmp_path / "naming_a_matrix.csv")
+        # the counts with every cell quoted, as csv.QUOTE_ALL writes them
+        quoted = tmp_path / "naming_a_quoted.tsv"
+        with open(FIXTURES / "naming_a.tsv", newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f, delimiter="\t"))
+        with open(quoted, "w", newline="", encoding="utf-8") as f:
+            csv.writer(f, delimiter="\t", quoting=csv.QUOTE_ALL,
+                       lineterminator="\n").writerows(rows)
         values = []
-        for system_b in (FIXTURES / "naming_a.tsv", matrix):
+        for system_b in (FIXTURES / "naming_a.tsv", matrix, quoted):
             out = tmp_path / f"gnid_{system_b.stem}.json"
             run_ok(runner, ["gnid", "--system-a", str(FIXTURES / "naming_b.tsv"),
                             "--system-b", str(system_b), "--need", "uniform",
@@ -188,6 +196,7 @@ class TestPipelineComposability:
             values.append(json.loads(out.read_text())["gnid"])
         assert 0.0 < values[0] <= 1.0
         assert values[1] == pytest.approx(values[0], abs=1e-12)
+        assert values[2] == values[0]
 
     def test_matrix_with_a_counts_header_exits_one(self, runner, tmp_path):
         matrix = naming_a_as_matrix(tmp_path / "matrix.csv")
@@ -256,6 +265,24 @@ class TestExitCodes:
                 lines = result.output.strip().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
                 assert "different meaning space" in lines[0]
+
+    @pytest.mark.parametrize("command", ["make-prior", "gnid"])
+    def test_non_utf8_naming_file_exits_one(self, runner, tmp_path, command):
+        # a Latin-1 o-umlaut in a word label on line 3
+        lines = (FIXTURES / "naming_a.tsv").read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"burk", "b\u00f6rk".encode("latin-1"))
+        naming = tmp_path / "naming_latin1.tsv"
+        naming.write_bytes(b"".join(lines))
+        args = {"make-prior": ["make-prior", "--naming", str(naming),
+                               "--out", str(tmp_path / "prior.csv")],
+                "gnid": ["gnid", "--system-a", str(naming),
+                         "--system-b", str(FIXTURES / "naming_b.tsv"), "--need", "uniform"]}
+        result = runner.invoke(main, args[command])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1, result.output
+        assert lines[0] == f"Error: {naming}: line 3: byte 0xf6 is not UTF-8 text"
 
     def test_baseline_requires_seed(self, runner, tmp_path):
         result = runner.invoke(main, ["baseline", "--system", "x", "--space", "y",
@@ -327,6 +354,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["frontier", "--prune-threshold", "0"],
         ["baseline", "--include-identity"],
+        ["hierarchy", "--threshold", "1e-5"],
         *([command, "--system-format", "counts"]
           for command in ("eval", "baseline", "gnid", "mixture")),
     ], ids=" ".join)
@@ -398,6 +426,9 @@ class TestMalformedFrontier:
         # 3-word row with a different complexity; a str names the copied file
         "encoder-from-other-row": ("encoders/point_00010.csv", "encoders/point_00000.csv"),
         "encoder-from-same-k-row": ("encoders/point_00009.csv", "encoders/point_00007.csv"),
+        # bytes are written in front of line 3: a Latin-1 o-umlaut is not UTF-8
+        "non-utf8-csv": ("frontier.csv", "\u00f6".encode("latin-1")),
+        "non-utf8-encoder": ("encoders/point_00003.csv", "\u00f6".encode("latin-1")),
     }
 
     @pytest.fixture(scope="class")
@@ -415,6 +446,9 @@ class TestMalformedFrontier:
             target.unlink()
         elif isinstance(damage, str):
             shutil.copyfile(front / damage, target)
+        elif isinstance(damage, bytes):
+            lines = target.read_bytes().splitlines(keepends=True)
+            target.write_bytes(b"".join([*lines[:2], damage, *lines[2:]]))
         else:
             target.write_text(damage(target.read_text()))
         for line in self.failing_lines(runner, pipeline, front):
@@ -582,5 +616,5 @@ class TestManifests:
         manifest = json.loads(Path(hout + ".manifest.json").read_text())
         assert manifest["config"] == {
             "frontier": fit["frontier"], "space": fit["space"], "need": fit["need"],
-            "k": "1", "top_n": 5, "threshold": 1e-5, "out_json": hout, "out_text": None,
+            "k": "1", "top_n": 5, "out_json": hout, "out_text": None,
         }

@@ -10,14 +10,12 @@ from ibnaming import (
     CategorySelectionError,
     Distribution,
     MeaningSpace,
-    NamingSystem,
     SolverConfig,
     ValidationError,
     accuracy,
     anneal_frontier,
     complexity,
     default_beta_grid,
-    effective_category_count,
     fixed_point_delta,
     ib_objective,
     select_most_informative_with_k,
@@ -27,8 +25,10 @@ from ibnaming.solver import (
     _ANDERSON_DEPTH,
     _MIX_BLOCK,
     _WEIGHT_DRIFT,
+    DEFAULT_CATEGORY_MASS_THRESHOLD,
     DUPLICATE_ROW_TOL,
     _Anderson,
+    _category_count,
     _merge_duplicate_words,
 )
 from helpers import continued_ca_move, identity_system, random_space, random_system
@@ -415,22 +415,20 @@ class TestEffectiveCategories:
     def test_single_word(self, rng):
         space = random_space(rng, 3, 3)
         point = solve_at_beta(space, 0.0, identity_system(space))
-        assert effective_category_count(point) == 1
+        assert point.effective_k == 1
 
     def test_identity_four_uniform(self):
         labels = tuple(f"m{i}" for i in range(4))
         space = MeaningSpace.create(np.eye(4), tuple(f"u{i}" for i in range(4)), labels,
                                     Distribution.create(np.ones(4) / 4, labels))
         point = solve_at_beta(space, 64.0, identity_system(space))
-        assert effective_category_count(point, 1e-5) == 4
+        assert point.effective_k == 4
 
     def test_threshold_is_strict(self):
-        point_mass = np.array([0.5, 0.5])
-        from ibnaming.solver import FrontierPoint
-
-        encoder = NamingSystem.create(np.eye(2), ("w0", "w1"), ("m0", "m1"))
-        point = FrontierPoint(1.0, 0.0, 0.0, 0.0, 2, encoder, point_mass, True, 1)
-        assert effective_category_count(point, 0.5) == 0
+        # a word with mass exactly DEFAULT_CATEGORY_MASS_THRESHOLD does not count
+        t = DEFAULT_CATEGORY_MASS_THRESHOLD
+        assert _category_count(np.array([t, 1 - t])) == 1
+        assert _category_count(np.array([np.nextafter(t, 1), 1 - t])) == 2
 
 
 class TestSelectMostInformative:
@@ -450,9 +448,9 @@ class TestSelectMostInformative:
 
     def test_picks_max_accuracy(self, rng):
         space, front = self.make_frontier(rng)
-        ks = {effective_category_count(p) for p in front.points}
+        ks = {p.effective_k for p in front.points}
         for k in ks:
             chosen = select_most_informative_with_k(front, k)
             best = max(p.accuracy_bits for p in front.points
-                       if effective_category_count(p) == k)
+                       if p.effective_k == k)
             assert chosen.accuracy_bits == best
