@@ -379,6 +379,8 @@ def category_profiles(point: FrontierPoint, space: MeaningSpace,
     m_hat_w(u); ties keep the original index order. Lists are capped at the
     number of available meanings/features.
     """
+    if top_n < 1:
+        raise ValidationError([f"top_n must be >= 1, got {top_n}"])
     sys = point.encoder
     _align(sys, space)
     qw, joint, mhat = _listener(space.require_need().mass, sys.encoder, space.representations)

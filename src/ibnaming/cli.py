@@ -30,6 +30,7 @@ from .analysis import (
 from .core import Distribution, IBNamingError, MeaningSpace, NamingSystem
 from .frontier_io import frontier_files, load_frontier, save_frontier
 from .ingest import (
+    _write_json,
     attach_need,
     li_prior,
     meaning_space_from_features,
@@ -70,11 +71,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: f.read(65536), b""):
             h.update(chunk)
     return "sha256:" + h.hexdigest()
-
-
-def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
 
 
 class _Run:
@@ -286,13 +282,17 @@ def frontier(space, need, beta_max, num_betas, tol, max_iterations, out):
     click.echo(msg)
 
 
-def _fit_options(fn):
+def _frontier_options(fn):
     fn = click.option("--frontier", required=True, type=click.Path(exists=True))(fn)
     fn = click.option("--need", required=True, help=_NEED_HELP)(fn)
     fn = click.option("--space", required=True, type=_IN_FILE)(fn)
-    fn = click.option("--system", required=True, type=_IN_FILE,
-                      help="Naming counts or an encoder matrix, told apart by the header.")(fn)
     return fn
+
+
+def _fit_options(fn):
+    fn = _frontier_options(fn)
+    return click.option("--system", required=True, type=_IN_FILE,
+                        help="Naming counts or an encoder matrix, told apart by the header.")(fn)
 
 
 def _pair_options(fn):
@@ -366,12 +366,10 @@ def mixture(system_a, system_b, need, weight, out):
 
 
 @main.command("hierarchy")
-@click.option("--frontier", required=True, type=click.Path(exists=True))
-@click.option("--space", required=True, type=_IN_FILE)
-@click.option("--need", required=True, help=_NEED_HELP)
+@_frontier_options
 @click.option("--k", required=True,
               help="Comma-separated effective category counts, e.g. 1,2,3,4.")
-@click.option("--top-n", type=int, default=5, show_default=True)
+@click.option("--top-n", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--out-json", type=click.Path(dir_okay=False), default=None)
 @click.option("--out-text", type=click.Path(dir_okay=False), default=None)
 @_handled

@@ -23,12 +23,12 @@ byte-identical.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
 from .core import MeaningSpace, ValidationError, _alignment_errors
-from .ingest import _csv_rows, _fmt, read_encoder_csv, write_encoder_csv
+from .ingest import (_fmt, _read_table, _write_json, _write_table, read_encoder_csv,
+                     write_encoder_csv)
 from .measures import complexity
 from .solver import Frontier, FrontierPoint, SolverConfig, _category_count, _check_space
 
@@ -47,25 +47,19 @@ def save_frontier(frontier: Frontier, out_dir) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / FRONTIER_CSV
-    with open(csv_path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(_COLUMNS)
-        for p in frontier.points:
-            w.writerow([
-                _fmt(p.beta), _fmt(p.complexity_bits), _fmt(p.accuracy_bits),
-                _fmt(p.objective_bits), p.effective_k,
-                "true" if p.converged else "false", p.iterations,
-            ])
+    _write_table(csv_path, _COLUMNS, ([
+        _fmt(p.beta), _fmt(p.complexity_bits), _fmt(p.accuracy_bits),
+        _fmt(p.objective_bits), p.effective_k, "true" if p.converged else "false",
+        p.iterations] for p in frontier.points))
     from . import __version__
 
-    meta = {
+    meta_path = out / FRONTIER_META
+    _write_json(meta_path, {
         "tool_version": __version__,
         "space_fingerprint": frontier.space_fingerprint,
         "config": frontier.config.to_dict(),
         "num_points": len(frontier.points),
-    }
-    meta_path = out / FRONTIER_META
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    })
     enc_dir = out / ENCODER_DIR
     enc_dir.mkdir(exist_ok=True)
     for i, p in enumerate(frontier.points):
@@ -107,15 +101,15 @@ def load_frontier(path, space: MeaningSpace) -> Frontier:
                                f"({type(e).__name__}: {e})"]) from None
     _check_space(fingerprint, space)
 
-    rows = _csv_rows(csv_path)
-    if not rows or rows[0] != _COLUMNS:
+    header, rows, lines = _read_table(csv_path)
+    if header != _COLUMNS:
         raise ValidationError([f"{csv_path}: expected the header {','.join(_COLUMNS)}"])
 
     grid, need = config.beta_grid, space.need.mass
     points = []
-    for i, row in enumerate(rows[1:]):
+    for i, (row, line) in enumerate(zip(rows, lines)):
         try:
-            if len(row) != len(_COLUMNS) or row[5] not in ("true", "false"):
+            if row[5] not in ("true", "false"):
                 raise ValueError(f"malformed row {row}")
             beta, c, a, obj = (float(x) for x in row[:4])
             effective_k, iterations = int(row[4]), int(row[6])
@@ -124,7 +118,7 @@ def load_frontier(path, space: MeaningSpace) -> Frontier:
             if beta != grid[i]:
                 raise ValueError(f"beta {beta!r} is not beta {i} of the grid, {grid[i]!r}")
         except ValueError as e:
-            raise ValidationError([f"{csv_path}, line {i + 2}: {e}"]) from None
+            raise ValidationError([f"{csv_path}, line {line}: {e}"]) from None
         enc_path = base / ENCODER_DIR / f"point_{i:05d}.csv"
         encoder = read_encoder_csv(enc_path)
         errors = _alignment_errors(encoder, space)
@@ -135,7 +129,7 @@ def load_frontier(path, space: MeaningSpace) -> Frontier:
         if encoder_k != effective_k or abs(encoder_c - c) > _COMPLEXITY_TOL:
             raise ValidationError([
                 f"{enc_path}: the encoder has {encoder_k} categories and complexity "
-                f"{encoder_c!r} bits, but line {i + 2} of {FRONTIER_CSV} records "
+                f"{encoder_c!r} bits, but line {line} of {FRONTIER_CSV} records "
                 f"effective_k {effective_k} and {c!r} bits"])
         points.append(FrontierPoint(
             beta=beta, complexity_bits=c, accuracy_bits=a, objective_bits=obj,
@@ -143,6 +137,7 @@ def load_frontier(path, space: MeaningSpace) -> Frontier:
             iterations=iterations,
         ))
     if len(points) < len(grid):
-        raise ValidationError([f"{csv_path}, line {len(rows) + 1}: the file ends after "
+        end = lines[-1] + 1 if lines else 2
+        raise ValidationError([f"{csv_path}, line {end}: the file ends after "
                                f"{len(points)} rows, but the grid has {len(grid)} betas"])
     return Frontier(tuple(points), fingerprint, config)

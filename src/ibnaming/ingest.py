@@ -7,7 +7,8 @@ probabilities, with a familiarity-based need). Naming systems come from
 participant counts, and the least-informative prior ties a set of naming
 systems back to a need distribution over meanings.
 
-File formats (all UTF-8, header row required):
+File formats (all UTF-8, header row required, every row as wide as the header;
+blank lines are skipped, and an error names the file and the physical line):
   similarity CSV   first column label, remaining columns scores, header labels
   naming TSV/CSV   columns meaning_label, word_label, count[, condition]
   feature CSV      first column class label, header feature labels, values in [0,1]
@@ -15,11 +16,13 @@ File formats (all UTF-8, header row required):
   prior CSV        columns meaning_label, probability
   space CSV        header "meaning" + universe labels, one row per meaning
   encoder CSV      header "meaning" + word labels, one row per meaning
+  frontier.csv     one row per frontier point (see ``frontier_io``)
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -346,38 +349,48 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _csv_rows(path: Path, delimiter: str = ",") -> list[list[str]]:
-    """Every row of a CSV file, which must be UTF-8 text."""
+def _read_table(path) -> tuple[list[str], list[list[str]], list[int]]:
+    """The header, the non-blank data rows, each as wide as the header, and the
+    physical line each row ends on, of a UTF-8 CSV (tab-separated if .tsv)."""
+    path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            return list(csv.reader(f, delimiter=delimiter))
+            reader = csv.reader(f, delimiter="\t" if path.suffix.lower() == ".tsv" else ",")
+            rows, lines = [], []
+            for row in filter(None, reader):  # blank lines read as []
+                rows.append(row)
+                lines.append(reader.line_num)
     except UnicodeDecodeError:
         # the error's offset counts from the start of the chunk being decoded;
         # UTF-8 never encodes a character with a \n or \r byte, so lines decode apart
-        for line, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+        for line, raw in enumerate(path.read_bytes().splitlines(), 1):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as e:
                 raise ValidationError([f"{path}: line {line}: byte {raw[e.start]:#04x} "
                                        "is not UTF-8 text"]) from None
         raise
-
-
-def _read_rows(path: Path) -> list[list[str]]:
-    """Non-empty rows, tab-separated in a .tsv file, all as wide as the header."""
-    path = Path(path)
-    rows = [row for row in _csv_rows(path, "\t" if path.suffix.lower() == ".tsv" else ",")
-            if row]
     if not rows:
         raise ValidationError([f"{path}: file is empty"])
-    width = len(rows[0])
-    ragged = [i for i, row in enumerate(rows) if len(row) != width]
-    if ragged:
-        raise ValidationError(
-            [f"{path}: line {ragged[0] + 1} has {len(rows[ragged[0]])} cells, "
-             f"header has {width}"]
-        )
-    return rows
+    header = rows[0]
+    for row, line in zip(rows, lines):
+        if len(row) != len(header):
+            raise ValidationError(
+                [f"{path}: line {line} has {len(row)} cells, header has {len(header)}"])
+    return header, rows[1:], lines[1:]
+
+
+def _write_table(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` as a UTF-8 CSV with \\n line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_json(path, payload) -> None:
+    """``payload`` as JSON with sorted keys, an indent of 2 and a final newline."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _float_cell(cell: str, path: Path, line: int) -> float:
@@ -387,45 +400,37 @@ def _float_cell(cell: str, path: Path, line: int) -> float:
         raise ValidationError([f"{path}: line {line}: {cell!r} is not a number"])
 
 
-def _float_matrix(rows: list[list[str]], path: Path) -> np.ndarray:
+def _float_matrix(rows: list[list[str]], lines: list[int], path: Path) -> np.ndarray:
     """The numbers right of the label column, converted one row at a time."""
     values = []
-    for i, row in enumerate(rows[1:]):
+    for row, line in zip(rows, lines):
         try:
             values.append(list(map(float, row[1:])))
         except ValueError:
             for x in row[1:]:  # name the first cell that is not a number
-                _float_cell(x, path, i + 2)
+                _float_cell(x, path, line)
     return np.array(values)
-
-
-def _note_renormalized(sums: np.ndarray, path: Path, notes: list[str] | None) -> None:
-    if notes is None:
-        return
-    dev = np.abs(sums - 1.0)
-    bad = int(np.sum(dev > 1e-12))
-    if bad:
-        notes.append(f"{Path(path).name}: renormalized {bad} rows (max deviation {dev.max():.3g})")
 
 
 def read_similarity_csv(path) -> SimilarityMatrix:
     path = Path(path)
-    rows = _read_rows(path)
-    labels = [c.strip() for c in rows[0][1:]]
-    row_labels = [row[0].strip() for row in rows[1:]]
+    header, rows, lines = _read_table(path)
+    labels = [c.strip() for c in header[1:]]
+    row_labels = [row[0].strip() for row in rows]
     if row_labels != labels:
         raise ValidationError(
             [f"{path}: row labels do not match header labels (square matrix required)"]
         )
-    return SimilarityMatrix.create(_float_matrix(rows, path), labels)
+    return SimilarityMatrix.create(_float_matrix(rows, lines, path), labels)
 
 
 def read_naming_counts(path) -> NamingCounts:
-    return _naming_counts(_read_rows(path), Path(path))
+    return _naming_counts(*_read_table(path), Path(path))
 
 
-def _naming_counts(rows: list[list[str]], path: Path) -> NamingCounts:
-    header = [c.strip() for c in rows[0]]
+def _naming_counts(header: list[str], rows: list[list[str]], lines: list[int],
+                   path: Path) -> NamingCounts:
+    header = [c.strip() for c in header]
     required = ["meaning_label", "word_label", "count"]
     if header[: len(required)] != required:
         raise ValidationError(
@@ -434,29 +439,27 @@ def _naming_counts(rows: list[list[str]], path: Path) -> NamingCounts:
     has_condition = len(header) > 3 and header[3] == "condition"
     data = []
     conditions = set()
-    for row in rows[1:]:
+    for row, line in zip(rows, lines):
         try:
             count = int(row[2])
         except ValueError:
-            raise ValidationError([f"{path}: count {row[2]!r} is not an integer"])
+            raise ValidationError([f"{path}: line {line}: count {row[2]!r} is not an integer"])
         data.append((row[0], row[1], count))
-        if has_condition and len(row) > 3 and row[3].strip():
+        if has_condition and row[3].strip():
             conditions.add(row[3].strip())
     condition = conditions.pop() if len(conditions) == 1 else None
     return NamingCounts.create(data, condition)
 
 
 def read_feature_table(features_path, familiarity_path) -> FeatureTable:
-    features_path = Path(features_path)
-    rows = _read_rows(features_path)
-    feature_labels = [c.strip() for c in rows[0][1:]]
-    class_labels = [row[0].strip() for row in rows[1:]]
-    values = _float_matrix(rows, features_path)
-    fam_rows = _read_rows(Path(familiarity_path))
-    scores = {
-        row[0].strip(): _float_cell(row[1], Path(familiarity_path), i + 2)
-        for i, row in enumerate(fam_rows[1:])
-    }
+    features_path, familiarity_path = Path(features_path), Path(familiarity_path)
+    header, rows, lines = _read_table(features_path)
+    feature_labels = [c.strip() for c in header[1:]]
+    class_labels = [row[0].strip() for row in rows]
+    values = _float_matrix(rows, lines, features_path)
+    _, rows, lines = _read_table(familiarity_path)
+    scores = {row[0].strip(): _float_cell(row[1], familiarity_path, line)
+              for row, line in zip(rows, lines)}
     missing = [c for c in class_labels if c not in scores]
     if missing:
         raise ValidationError(
@@ -468,42 +471,41 @@ def read_feature_table(features_path, familiarity_path) -> FeatureTable:
 
 def read_prior_csv(path) -> Distribution:
     path = Path(path)
-    rows = _read_rows(path)
-    labels = [row[0].strip() for row in rows[1:]]
-    mass = [_float_cell(row[1], path, i + 2) for i, row in enumerate(rows[1:])]
+    _, rows, lines = _read_table(path)
+    labels = [row[0].strip() for row in rows]
+    mass = [_float_cell(row[1], path, line) for row, line in zip(rows, lines)]
     return Distribution.create(mass, labels)
 
 
 def write_prior_csv(d: Distribution, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["meaning_label", "probability"])
-        for lab, x in zip(d.labels, d.mass):
-            w.writerow([lab, _fmt(x)])
+    _write_table(path, ["meaning_label", "probability"],
+                 ([lab, _fmt(x)] for lab, x in zip(d.labels, d.mass)))
 
 
-def _matrix(rows: list[list[str]], path: Path, create, notes: list[str] | None):
-    """Space or encoder from the rows of its CSV, built by
+def _matrix(header: list[str], rows: list[list[str]], lines: list[int], path: Path, create,
+            notes: list[str] | None):
+    """Space or encoder from the header and rows of its CSV, built by
     ``create(values, column_labels, meaning_labels)``."""
-    columns = [c.strip() for c in rows[0][1:]]
-    meanings = [row[0].strip() for row in rows[1:]]
-    values = _float_matrix(rows, path)
-    _note_renormalized(values.sum(axis=1), path, notes)
+    columns = [c.strip() for c in header[1:]]
+    meanings = [row[0].strip() for row in rows]
+    values = _float_matrix(rows, lines, path)
+    if notes is not None:
+        dev = np.abs(values.sum(axis=1) - 1.0)
+        bad = int(np.sum(dev > 1e-12))
+        if bad:
+            notes.append(f"{path.name}: renormalized {bad} rows (max deviation {dev.max():.3g})")
     return create(values, columns, meanings)
 
 
 def _write_matrix_csv(path, values: np.ndarray, columns, meanings) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["meaning", *columns])
-        for lab, row in zip(meanings, values):
-            # repr of a Python float is _fmt; converting a row at a time keeps
-            # a whole space out of one list
-            w.writerow([lab, *map(repr, row.tolist())])
+    # repr of a Python float is _fmt; converting a row at a time keeps a
+    # whole space out of one list
+    _write_table(path, ["meaning", *columns],
+                 ([lab, *map(repr, row.tolist())] for lab, row in zip(meanings, values)))
 
 
 def read_space_csv(path, notes: list[str] | None = None) -> MeaningSpace:
-    return _matrix(_read_rows(path), Path(path), MeaningSpace.create, notes)
+    return _matrix(*_read_table(path), Path(path), MeaningSpace.create, notes)
 
 
 def write_space_csv(space: MeaningSpace, path) -> None:
@@ -512,17 +514,17 @@ def write_space_csv(space: MeaningSpace, path) -> None:
 
 
 def read_encoder_csv(path, notes: list[str] | None = None) -> NamingSystem:
-    return _matrix(_read_rows(path), Path(path), NamingSystem.create, notes)
+    return _matrix(*_read_table(path), Path(path), NamingSystem.create, notes)
 
 
 def read_naming_system(path, notes: list[str] | None = None) -> NamingSystem:
     """Naming counts if the first header cell is ``meaning_label``,
     otherwise an encoder matrix; the file is read once."""
     path = Path(path)
-    rows = _read_rows(path)
-    if rows[0][0].strip() == "meaning_label":
-        return naming_system_from_counts(_naming_counts(rows, path))
-    return _matrix(rows, path, NamingSystem.create, notes)
+    table = _read_table(path)
+    if table[0][0].strip() == "meaning_label":
+        return naming_system_from_counts(_naming_counts(*table, path))
+    return _matrix(*table, path, NamingSystem.create, notes)
 
 
 def write_encoder_csv(sys: NamingSystem, path) -> None:

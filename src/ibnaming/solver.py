@@ -122,8 +122,8 @@ class SolverConfig:
             errors.append(f"beta_grid values must be >= 0, got {self.beta_grid[0]}")
         if any(b2 <= b1 for b1, b2 in zip(self.beta_grid, self.beta_grid[1:])):
             errors.append("beta_grid must be strictly increasing")
-        if self.convergence_tol <= 0:
-            errors.append(f"convergence_tol must be > 0, got {self.convergence_tol}")
+        if not 0 < self.convergence_tol < np.inf:
+            errors.append(f"convergence_tol must be finite and > 0, got {self.convergence_tol}")
         if self.max_iterations < 1:
             errors.append(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.mass_prune_threshold < 0:

@@ -438,6 +438,14 @@ class TestCategoryProfiles:
             assert probs == sorted(probs, reverse=True)
             assert all(p <= 1 + 1e-12 for p in probs)
 
+    @pytest.mark.parametrize("top_n", [0, -1])
+    def test_top_n_below_one_rejected(self, rng, top_n):
+        # a slice [:-1] would drop the last meaning and [:0] would list none
+        space = random_space(rng, 4, 6)
+        point = solve_at_beta(space, 512.0, identity_system(space))
+        with pytest.raises(ValidationError, match="top_n must be >= 1"):
+            category_profiles(point, space, top_n=top_n)
+
 
 class TestHierarchyReport:
     def test_single_layer_k1(self, rng):

@@ -314,6 +314,28 @@ class TestExitCodes:
         assert "beta_max must be finite" in lines[0]
         assert not (tmp_path / "f").exists()
 
+    def test_nan_tolerance_exits_one(self, runner, tmp_path):
+        space = tmp_path / "space.csv"
+        run_ok(runner, ["make-space", "--similarity", str(FIXTURES / "similarity.csv"),
+                        "--out", str(space)])
+        result = runner.invoke(main, ["frontier", "--space", str(space), "--need", "uniform",
+                                      "--tol", "nan", "--num-betas", "5",
+                                      "--out", str(tmp_path / "f")])
+        assert result.exit_code == 1, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
+        assert "convergence_tol must be finite and > 0" in lines[0]
+        assert not (tmp_path / "f").exists()
+
+    @pytest.mark.parametrize("top_n", ["0", "-1"])
+    def test_top_n_below_one_exits_two(self, runner, top_n):
+        # every path exists, so only --top-n can fail
+        result = runner.invoke(main, ["hierarchy", "--frontier", str(FIXTURES),
+                                      "--space", str(FIXTURES / "similarity.csv"),
+                                      "--need", "uniform", "--k", "1", "--top-n", top_n])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--top-n'" in result.output
+
     def test_negative_seed_exits_one(self, runner, tmp_path):
         paths = build_container_pipeline(runner, tmp_path, num_betas=12)
         result = runner.invoke(main, ["baseline", "--system", str(FIXTURES / "naming_a.tsv"),

@@ -119,6 +119,19 @@ class TestRoundTrip:
                                                   f"the file ends after {len(front) - 1} rows"):
             load_frontier(tmp_path, space)
 
+    def test_blank_lines_between_rows_skipped(self, computed, tmp_path):
+        space, front = computed
+        blank, resaved = tmp_path / "blank", tmp_path / "resaved"
+        save_frontier(front, tmp_path)
+        save_frontier(front, blank)
+        csv_path = blank / "frontier.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join([*lines[:3], "\n", *lines[3:], "\n"]))
+        # a loaded frontier saves to the bytes it was read from
+        save_frontier(load_frontier(blank, space), resaved)
+        assert [f.read_bytes() for f in frontier_files(resaved)] == [
+            f.read_bytes() for f in frontier_files(tmp_path)]
+
     def test_metadata_with_encoders_key_loads(self, computed, tmp_path):
         space, front = computed
         save_frontier(front, tmp_path)

@@ -1,6 +1,8 @@
-"""Every module-level import in the package's modules is used.
+"""Every module-level import in the package's modules is used, and only
+``ingest`` imports ``csv``.
 
-``__init__.py`` is left out: it imports names to re-export them.
+``__init__.py`` is left out of the first check: it imports names to
+re-export them.
 """
 
 import ast
@@ -12,17 +14,21 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ibnaming"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def imports(nodes):
+    """(bound name, module, line) for each name bound by the imports among ``nodes``."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.module or "", node.lineno
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by the module's top-level imports that no Name node reads."""
     tree = ast.parse(source)
-    imported = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+    imported = {name: line for name, _, line in imports(tree.body)}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
@@ -35,3 +41,13 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_only_ingest_imports_csv():
+    # ingest alone knows the CSV dialect and numbers the lines of a table
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(module.split(".")[0] == "csv" for _, module, _ in imports(ast.walk(tree))):
+            importers.append(path.name)
+    assert importers == ["ingest.py"]

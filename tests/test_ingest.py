@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from ibnaming import (
 )
 from ibnaming.ingest import (
     read_encoder_csv,
+    read_feature_table,
     read_naming_counts,
     read_prior_csv,
     read_similarity_csv,
@@ -349,6 +352,31 @@ class TestFileIO:
         path.write_text("meaning,u0,u1,u2\nm0,0.5,0.25,0.25\nm1,0.5,oops,0.25\n")
         with pytest.raises(ValidationError, match=r"space.csv: line 3: 'oops' is not a number"):
             read_space_csv(path)
+
+    # each file has a blank line 3, so the bad cell on line 4 is the third
+    # non-blank line; the reader gets the directory of the files
+    @pytest.mark.parametrize("name, text, read, message", [
+        ("space.csv", "meaning,u0,u1\nm0,0.5,0.5\n\nm1,x,0.5\n",
+         lambda d: read_space_csv(d / "space.csv"), "line 4: 'x' is not a number"),
+        ("prior.csv", "meaning_label,probability\nm0,0.5\n\nm1,x\n",
+         lambda d: read_prior_csv(d / "prior.csv"), "line 4: 'x' is not a number"),
+        ("features.csv", "class,f0,f1\nc0,0.5,0.5\n\nc1,x,0.5\n",
+         lambda d: read_feature_table(d / "features.csv", d / "familiarity.csv"),
+         "line 4: 'x' is not a number"),
+        ("familiarity.csv", "class_label,score\nc0,1\n\nc1,x\n",
+         lambda d: read_feature_table(d / "features.csv", d / "familiarity.csv"),
+         "line 4: 'x' is not a number"),
+        ("naming.tsv", "meaning_label\tword_label\tcount\no1\tkopp\t3\n\no2\tburk\tz\n",
+         lambda d: read_naming_counts(d / "naming.tsv"), "line 4: count 'z' is not an integer"),
+        ("space.csv", "meaning,u0,u1\nm0,0.5,0.5\n\nm1,0.5\n",
+         lambda d: read_space_csv(d / "space.csv"), "line 4 has 2 cells, header has 3"),
+    ], ids=["space", "prior", "features", "familiarity", "naming-count", "ragged-row"])
+    def test_errors_name_the_physical_line(self, tmp_path, name, text, read, message):
+        (tmp_path / "features.csv").write_text("class,f0,f1\nc0,0.5,0.5\nc1,0.25,0.5\n")
+        (tmp_path / "familiarity.csv").write_text("class_label,score\nc0,1\nc1,2\n")
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ValidationError, match=re.escape(f"{tmp_path / name}: {message}")):
+            read(tmp_path)
 
     def test_matrix_cells_written_as_float_repr(self, tmp_path):
         enc = np.array([[0.1, 0.2, 0.7], [1 / 3, 2 / 3, 0.0], [1e-300, 0.5, 0.5 - 1e-300]])

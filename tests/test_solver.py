@@ -78,6 +78,12 @@ class TestSolverConfig:
         with pytest.raises(ValidationError, match="finite"):
             SolverConfig(beta_grid=grid)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-12])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a NaN tolerance never stops a solve, and neither NaN nor inf is JSON
+        with pytest.raises(ValidationError, match="convergence_tol"):
+            SolverConfig(beta_grid=(1.0,), convergence_tol=tol)
+
     def test_round_trips_through_dict(self):
         cfg = SolverConfig(beta_grid=(0.0, 1.0, 2.0), convergence_tol=1e-8,
                            max_iterations=500, mass_prune_threshold=1e-6)
