@@ -8,7 +8,11 @@ participant counts, and the least-informative prior ties a set of naming
 systems back to a need distribution over meanings.
 
 File formats (all UTF-8, header row required, every row as wide as the header;
-blank lines are skipped, and an error names the file and the physical line):
+blank lines are skipped, and an error names the file and the physical line).
+Every table but the naming counts is a label column and one or more columns
+of numbers, with one or more data rows; every cell right of the label column
+is parsed as a number, so a prior or familiarity file may carry more columns
+of numbers, but only its second column is read:
   similarity CSV   first column label, remaining columns scores, header labels
   naming TSV/CSV   columns meaning_label, word_label, count[, condition]
   feature CSV      first column class label, header feature labels, values in [0,1]
@@ -37,10 +41,11 @@ from .core import (
     _freeze,
 )
 
-# li_prior's fit: the largest word-frequency residual it stops at, and the
-# share of the log-ratio correction each step applies.
+# li_prior's fit: the largest word-frequency residual it stops at, the share
+# of the log-ratio correction each step applies, and the step budget.
 _LI_TOL = 1e-9
 _LI_DAMPING = 0.5
+_LI_MAX_ITERATIONS = 100_000
 
 
 class IterativeScalingError(IBNamingError):
@@ -158,8 +163,8 @@ def meaning_space_from_similarity(simm: SimilarityMatrix, gamma: float | None = 
 
     When gamma is not given it defaults to the reciprocal of the population
     standard deviation of the similarity scores (all n^2 entries; set
-    ``include_diagonal=False`` to leave the diagonal out of that estimate).
-    The need distribution is left unset.
+    ``include_diagonal=False`` to leave the diagonal out of that estimate);
+    a given gamma must be finite and > 0. The need distribution is left unset.
     """
     v = simm.values
     if gamma is None:
@@ -170,6 +175,8 @@ def meaning_space_from_similarity(simm: SimilarityMatrix, gamma: float | None = 
                 ["similarity matrix has zero standard deviation; pass gamma explicitly"]
             )
         gamma = 1.0 / sd
+    elif not 0 < gamma < np.inf:
+        raise ValidationError([f"gamma must be finite and > 0, got {gamma}"])
     logits = gamma * v
     logits = logits - logits.max(axis=1, keepdims=True)
     rows = np.exp(logits)
@@ -219,8 +226,7 @@ def naming_weights_from_counts(counts: NamingCounts, meaning_order) -> np.ndarra
     return w / w.sum()
 
 
-def li_prior(systems, epsilon: float = 0.001, meaning_weights=None,
-             max_iterations: int = 100_000) -> Distribution:
+def li_prior(systems, epsilon: float = 0.001, meaning_weights=None) -> Distribution:
     """Least-informative need prior consistent with observed word frequencies.
 
     For each system the maximum-entropy p(m) subject to
@@ -228,7 +234,8 @@ def li_prior(systems, epsilon: float = 0.001, meaning_weights=None,
     exponential family p(m) proportional to exp(sum_w lambda_w q(w|m)).
     phat(w) is the count-weighted word frequency; without weights every
     meaning counts equally. The per-language priors are averaged uniformly,
-    then epsilon is added everywhere and the result renormalized.
+    then epsilon (finite and >= 0) is added everywhere and the result
+    renormalized.
     """
     systems = list(systems)
     if not systems:
@@ -237,10 +244,8 @@ def li_prior(systems, epsilon: float = 0.001, meaning_weights=None,
     for s in systems[1:]:
         if s.meaning_labels != labels:
             raise ValidationError(["all systems must share one ordered meaning set"])
-    if epsilon < 0:
-        raise ValidationError([f"epsilon must be >= 0, got {epsilon}"])
-    if max_iterations < 1:
-        raise ValidationError([f"max_iterations must be >= 1, got {max_iterations}"])
+    if not 0 <= epsilon < np.inf:
+        raise ValidationError([f"epsilon must be finite and >= 0, got {epsilon}"])
     n = len(labels)
     if meaning_weights is None:
         weights = [np.full(n, 1.0 / n) for _ in systems]
@@ -258,7 +263,7 @@ def li_prior(systems, epsilon: float = 0.001, meaning_weights=None,
         enc = sys.encoder
         target = w @ enc
         lam = np.zeros(sys.num_words)
-        for _ in range(max_iterations):
+        for _ in range(_LI_MAX_ITERATIONS):
             logp = enc @ lam
             logp -= logp.max()
             p = np.exp(logp)
@@ -272,7 +277,7 @@ def li_prior(systems, epsilon: float = 0.001, meaning_weights=None,
         else:
             raise IterativeScalingError(
                 f"LI prior fit did not reach residual {_LI_TOL:g} within "
-                f"{max_iterations} iterations (residual {resid:.3g})"
+                f"{_LI_MAX_ITERATIONS} iterations (residual {resid:.3g})"
             )
         priors.append(p)
     avg = np.mean(priors, axis=0)
@@ -312,12 +317,8 @@ def attach_need(space: MeaningSpace, need) -> MeaningSpace:
         )
     if need.labels == space.meaning_labels:
         return replace(space, need=need)
-    if set(need.labels) == set(space.meaning_labels):
-        index = {lab: i for i, lab in enumerate(need.labels)}
-        perm = [index[lab] for lab in space.meaning_labels]
-        return replace(space, need=Distribution(need.mass[perm], space.meaning_labels))
-    missing = sorted(set(space.meaning_labels) - set(need.labels))
-    raise ValidationError([f"need is missing meaning {missing[0]!r}"])
+    perm = _realign(need.labels, space.meaning_labels, "need")
+    return replace(space, need=Distribution(need.mass[perm], space.meaning_labels))
 
 
 def reorder_naming_system(sys: NamingSystem, meaning_labels) -> NamingSystem:
@@ -325,20 +326,21 @@ def reorder_naming_system(sys: NamingSystem, meaning_labels) -> NamingSystem:
     meaning_labels = tuple(meaning_labels)
     if sys.meaning_labels == meaning_labels:
         return sys
-    if set(sys.meaning_labels) != set(meaning_labels):
-        missing = sorted(set(meaning_labels) - set(sys.meaning_labels))
-        extra = sorted(set(sys.meaning_labels) - set(meaning_labels))
-        what = []
-        if missing:
-            what.append(f"missing meaning {missing[0]!r}")
-        if extra:
-            what.append(f"unknown meaning {extra[0]!r}")
-        raise ValidationError(
-            [f"naming system does not cover the meaning set: {', '.join(what)}"]
-        )
-    index = {lab: i for i, lab in enumerate(sys.meaning_labels)}
-    perm = [index[lab] for lab in meaning_labels]
+    perm = _realign(sys.meaning_labels, meaning_labels, "naming system")
     return NamingSystem(sys.encoder[perm], sys.word_labels, meaning_labels)
+
+
+def _realign(labels, order, what: str) -> list[int]:
+    """The indices that put ``labels`` in ``order``; when the two sets differ,
+    the error names ``what`` and its first missing and unknown meaning."""
+    if set(labels) != set(order):
+        missing = sorted(set(order) - set(labels))[:1]
+        extra = sorted(set(labels) - set(order))[:1]
+        parts = [f"missing meaning {m!r}" for m in missing] + [
+            f"unknown meaning {m!r}" for m in extra]
+        raise ValidationError([f"{what} does not cover the meaning set: {', '.join(parts)}"])
+    index = {lab: i for i, lab in enumerate(labels)}
+    return [index[lab] for lab in order]
 
 
 # ---------------------------------------------------------------------------
@@ -393,35 +395,37 @@ def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _float_cell(cell: str, path: Path, line: int) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValidationError([f"{path}: line {line}: {cell!r} is not a number"])
-
-
-def _float_matrix(rows: list[list[str]], lines: list[int], path: Path) -> np.ndarray:
-    """The numbers right of the label column, converted one row at a time."""
+def _labelled(table, path: Path) -> tuple[list[str], list[str], np.ndarray]:
+    """The column labels, the row labels and the rows x columns numbers of a
+    ``_read_table`` table whose first column holds the labels; the header must
+    have a column after the label column and a data row must follow it."""
+    header, rows, lines = table
+    if len(header) < 2:
+        raise ValidationError([f"{path}: the header has no column after the label column"])
+    if not rows:
+        raise ValidationError([f"{path}: the header is followed by no data row"])
     values = []
     for row, line in zip(rows, lines):
         try:
             values.append(list(map(float, row[1:])))
         except ValueError:
-            for x in row[1:]:  # name the first cell that is not a number
-                _float_cell(x, path, line)
-    return np.array(values)
+            for cell in row[1:]:  # name the first cell that is not a number
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValidationError(
+                        [f"{path}: line {line}: {cell!r} is not a number"]) from None
+    return [c.strip() for c in header[1:]], [row[0].strip() for row in rows], np.array(values)
 
 
 def read_similarity_csv(path) -> SimilarityMatrix:
     path = Path(path)
-    header, rows, lines = _read_table(path)
-    labels = [c.strip() for c in header[1:]]
-    row_labels = [row[0].strip() for row in rows]
+    labels, row_labels, values = _labelled(_read_table(path), path)
     if row_labels != labels:
         raise ValidationError(
             [f"{path}: row labels do not match header labels (square matrix required)"]
         )
-    return SimilarityMatrix.create(_float_matrix(rows, lines, path), labels)
+    return SimilarityMatrix.create(values, labels)
 
 
 def read_naming_counts(path) -> NamingCounts:
@@ -453,13 +457,9 @@ def _naming_counts(header: list[str], rows: list[list[str]], lines: list[int],
 
 def read_feature_table(features_path, familiarity_path) -> FeatureTable:
     features_path, familiarity_path = Path(features_path), Path(familiarity_path)
-    header, rows, lines = _read_table(features_path)
-    feature_labels = [c.strip() for c in header[1:]]
-    class_labels = [row[0].strip() for row in rows]
-    values = _float_matrix(rows, lines, features_path)
-    _, rows, lines = _read_table(familiarity_path)
-    scores = {row[0].strip(): _float_cell(row[1], familiarity_path, line)
-              for row, line in zip(rows, lines)}
+    feature_labels, class_labels, values = _labelled(_read_table(features_path), features_path)
+    _, scored, fam = _labelled(_read_table(familiarity_path), familiarity_path)
+    scores = dict(zip(scored, fam[:, 0].tolist()))
     missing = [c for c in class_labels if c not in scores]
     if missing:
         raise ValidationError(
@@ -471,10 +471,8 @@ def read_feature_table(features_path, familiarity_path) -> FeatureTable:
 
 def read_prior_csv(path) -> Distribution:
     path = Path(path)
-    _, rows, lines = _read_table(path)
-    labels = [row[0].strip() for row in rows]
-    mass = [_float_cell(row[1], path, line) for row, line in zip(rows, lines)]
-    return Distribution.create(mass, labels)
+    _, labels, values = _labelled(_read_table(path), path)
+    return Distribution.create(values[:, 0], labels)
 
 
 def write_prior_csv(d: Distribution, path) -> None:
@@ -482,13 +480,10 @@ def write_prior_csv(d: Distribution, path) -> None:
                  ([lab, _fmt(x)] for lab, x in zip(d.labels, d.mass)))
 
 
-def _matrix(header: list[str], rows: list[list[str]], lines: list[int], path: Path, create,
-            notes: list[str] | None):
-    """Space or encoder from the header and rows of its CSV, built by
+def _matrix(table, path: Path, create, notes: list[str] | None):
+    """Space or encoder from its ``_read_table`` table, built by
     ``create(values, column_labels, meaning_labels)``."""
-    columns = [c.strip() for c in header[1:]]
-    meanings = [row[0].strip() for row in rows]
-    values = _float_matrix(rows, lines, path)
+    columns, meanings, values = _labelled(table, path)
     if notes is not None:
         dev = np.abs(values.sum(axis=1) - 1.0)
         bad = int(np.sum(dev > 1e-12))
@@ -505,7 +500,7 @@ def _write_matrix_csv(path, values: np.ndarray, columns, meanings) -> None:
 
 
 def read_space_csv(path, notes: list[str] | None = None) -> MeaningSpace:
-    return _matrix(*_read_table(path), Path(path), MeaningSpace.create, notes)
+    return _matrix(_read_table(path), Path(path), MeaningSpace.create, notes)
 
 
 def write_space_csv(space: MeaningSpace, path) -> None:
@@ -514,7 +509,7 @@ def write_space_csv(space: MeaningSpace, path) -> None:
 
 
 def read_encoder_csv(path, notes: list[str] | None = None) -> NamingSystem:
-    return _matrix(*_read_table(path), Path(path), NamingSystem.create, notes)
+    return _matrix(_read_table(path), Path(path), NamingSystem.create, notes)
 
 
 def read_naming_system(path, notes: list[str] | None = None) -> NamingSystem:
@@ -524,7 +519,7 @@ def read_naming_system(path, notes: list[str] | None = None) -> NamingSystem:
     table = _read_table(path)
     if table[0][0].strip() == "meaning_label":
         return naming_system_from_counts(_naming_counts(*table, path))
-    return _matrix(*table, path, NamingSystem.create, notes)
+    return _matrix(table, path, NamingSystem.create, notes)
 
 
 def write_encoder_csv(sys: NamingSystem, path) -> None:

@@ -327,6 +327,57 @@ class TestExitCodes:
         assert "convergence_tol must be finite and > 0" in lines[0]
         assert not (tmp_path / "f").exists()
 
+    BAD_NUMBERS = [
+        *((["make-prior", "--naming", "naming_a.tsv", "--epsilon", v],
+           "epsilon must be finite and >= 0") for v in ("nan", "inf", "-0.5")),
+        *((["make-space", "--similarity", "similarity.csv", "--gamma", v],
+           "gamma must be finite and > 0") for v in ("-1", "0", "nan", "inf")),
+    ]
+
+    @pytest.mark.parametrize("args, message", BAD_NUMBERS,
+                             ids=[" ".join(args[3:]) for args, _ in BAD_NUMBERS])
+    def test_bad_number_option_exits_one(self, runner, tmp_path, args, message):
+        command, source, fixture, *rest = args
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, [command, source, str(FIXTURES / fixture), *rest,
+                                      "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
+        assert message in lines[0]
+        assert not out.exists()
+
+    # each table type and the command that reads it from {bad}; its other
+    # inputs are fixtures ({fix}) and its outputs go to {tmp}
+    TABLE_COMMANDS = {
+        "space": ["frontier", "--space", "{bad}", "--need", "uniform", "--num-betas", "3",
+                  "--out", "{tmp}/front"],
+        "prior": ["gnid", "--system-a", "{fix}/naming_a.tsv", "--system-b", "{fix}/naming_b.tsv",
+                  "--need", "{bad}"],
+        "similarity": ["make-space", "--similarity", "{bad}", "--out", "{tmp}/space.csv"],
+        "features": ["make-space", "--features", "{bad}", "--familiarity",
+                     "{fix}/familiarity.csv", "--out", "{tmp}/space.csv"],
+        "familiarity": ["make-space", "--features", "{fix}/features.csv", "--familiarity", "{bad}",
+                        "--out", "{tmp}/space.csv"],
+        "system-encoder": ["gnid", "--system-a", "{bad}", "--system-b", "{fix}/naming_b.tsv",
+                           "--need", "uniform"],
+    }
+
+    @pytest.mark.parametrize("shape, text, message", [
+        ("header-only", "label,c00,c01\n", "the header is followed by no data row"),
+        ("one-column", "label\nc00\nc01\n", "the header has no column after the label column"),
+    ], ids=["header-only", "one-column"])
+    @pytest.mark.parametrize("table", sorted(TABLE_COMMANDS))
+    def test_table_without_values_exits_one(self, runner, tmp_path, table, shape, text, message):
+        bad = tmp_path / f"{table}.csv"
+        bad.write_text(text)
+        result = runner.invoke(main, [a.format(bad=bad, fix=FIXTURES, tmp=tmp_path)
+                                      for a in self.TABLE_COMMANDS[table]])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        lines = result.output.strip().splitlines()
+        assert lines == [f"Error: {bad}: {message}"], result.output
+
     @pytest.mark.parametrize("top_n", ["0", "-1"])
     def test_top_n_below_one_exits_two(self, runner, top_n):
         # every path exists, so only --top-n can fail
@@ -443,6 +494,7 @@ class TestMalformedFrontier:
         "meta-holds-a-list": ("frontier_meta.json", lambda text: "[1, 2]\n"),
         "missing-encoder-file": ("encoders/point_00003.csv", None),
         "encoder-missing-row": ("encoders/point_00005.csv", _drop_last_line),
+        "encoder-header-only": ("encoders/point_00000.csv", lambda text: text.splitlines()[0]),
         "encoder-rows-swapped": ("encoders/point_00005.csv", _swap_first_rows),
         # a 1-word encoder over a 6-word row, then a 3-word one over another
         # 3-word row with a different complexity; a str names the copied file

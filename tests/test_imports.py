@@ -1,5 +1,6 @@
-"""Every module-level import in the package's modules is used, and only
-``ingest`` imports ``csv``.
+"""Every module-level import in the package's modules is used, every
+module-level private function, class and constant is referenced somewhere
+in the package, and only ``ingest`` imports ``csv``.
 
 ``__init__.py`` is left out of the first check: it imports names to
 re-export them.
@@ -41,6 +42,42 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(tree) -> dict[str, int]:
+    """Name and line of each private (``_x``, not ``__x__``) function, class
+    and constant that the module defines at its top level."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name):
+                    found[target.id] = node.lineno
+    return {name: line for name, line in found.items()
+            if name.startswith("_") and not name.endswith("__")}
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """The private definitions of ``sources`` (name -> module text) that no
+    module of them reads by name."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{module} line {line}: {name}" for module, tree in trees.items()
+            for name, line in private_definitions(tree).items() if name not in read]
+
+
+def test_detects_an_unreferenced_private():
+    sources = {"a.py": "_USED = 1\n_SPARE = 2\ndef _helper(): pass\nclass _Kind: pass\n",
+               "b.py": "from a import _USED, _Kind\nprint(_USED, _Kind, __name__)\n"}
+    assert unreferenced_privates(sources) == ["a.py line 2: _SPARE", "a.py line 3: _helper"]
+
+
+def test_private_definitions_are_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_privates(sources) == []
 
 
 def test_only_ingest_imports_csv():

@@ -19,6 +19,7 @@ from ibnaming import (
     naming_weights_from_counts,
     reorder_naming_system,
 )
+from ibnaming import ingest
 from ibnaming.ingest import (
     read_encoder_csv,
     read_feature_table,
@@ -52,6 +53,12 @@ class TestSimilaritySpace:
         sim = SimilarityMatrix.create(np.full((3, 3), 5.0), ("a", "b", "c"))
         with pytest.raises(ValidationError, match="gamma"):
             meaning_space_from_similarity(sim)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        sim = SimilarityMatrix.create(np.diag([2.0, 1.0]), ("a", "b"))
+        with pytest.raises(ValidationError, match=f"gamma must be finite and > 0, got {gamma}"):
+            meaning_space_from_similarity(sim, gamma=gamma)
 
     def test_rows_positive_and_normalized(self, rng):
         v = rng.random((6, 6)) * 10
@@ -182,17 +189,19 @@ class TestLIPrior:
         with pytest.raises(ValidationError):
             li_prior([a, b])
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         labels = tuple(f"m{i}" for i in range(5))
         sys = NamingSystem.create(np.eye(5), tuple(f"w{i}" for i in range(5)), labels)
         weights = np.array([0.5, 0.2, 0.1, 0.1, 0.1])
+        monkeypatch.setattr(ingest, "_LI_MAX_ITERATIONS", 1)
         with pytest.raises(IterativeScalingError, match="within 1 iterations"):
-            li_prior([sys], meaning_weights=[weights], max_iterations=1)
+            li_prior([sys], meaning_weights=[weights])
 
-    def test_max_iterations_below_one_rejected(self):
+    @pytest.mark.parametrize("epsilon", [-0.001, float("nan"), float("inf")])
+    def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
         sys = NamingSystem.create(np.eye(2), ("w0", "w1"), ("m0", "m1"))
-        with pytest.raises(ValidationError, match="max_iterations"):
-            li_prior([sys], max_iterations=0)
+        with pytest.raises(ValidationError, match=f"epsilon must be finite and >= 0, got {epsilon}"):
+            li_prior([sys], epsilon=epsilon)
 
 
 class TestFeatureSpace:
@@ -261,7 +270,8 @@ class TestAttachNeed:
 
     def test_label_mismatch(self, rng):
         space = random_space(rng, 2, 3)
-        with pytest.raises(ValidationError, match="missing meaning"):
+        with pytest.raises(ValidationError, match="need does not cover the meaning set: "
+                           r"missing meaning '.+', unknown meaning 'x'"):
             attach_need(space, Distribution.create([0.5, 0.5], ("x", "y")))
 
 
