@@ -84,7 +84,7 @@ def _check_labels(labels: tuple[str, ...], n: int, what: str, errors: list[str])
         errors.append(f"{what}: {len(labels)} labels for {n} entries")
     if len(set(labels)) != len(labels):
         dup = sorted({x for x in labels if labels.count(x) > 1})
-        errors.append(f"duplicate {what.rstrip('s')} label {dup[0]!r}")
+        errors.append(f"duplicate {what.rstrip('s')} {dup[0]!r}")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import json
 from pathlib import Path
 
 from .core import MeaningSpace, ValidationError, _alignment_errors
-from .ingest import (_fmt, _read_table, _write_json, _write_table, read_encoder_csv,
+from .ingest import (_fmt, _parse, _write_json, _write_table, read_encoder_csv,
                      write_encoder_csv)
 from .measures import complexity
 from .solver import Frontier, FrontierPoint, SolverConfig, _category_count, _check_space
@@ -101,43 +101,45 @@ def load_frontier(path, space: MeaningSpace) -> Frontier:
                                f"({type(e).__name__}: {e})"]) from None
     _check_space(fingerprint, space)
 
-    header, rows, lines = _read_table(csv_path)
-    if header != _COLUMNS:
-        raise ValidationError([f"{csv_path}: expected the header {','.join(_COLUMNS)}"])
-
     grid, need = config.beta_grid, space.need.mass
-    points = []
-    for i, (row, line) in enumerate(zip(rows, lines)):
-        try:
-            if row[5] not in ("true", "false"):
-                raise ValueError(f"malformed row {row}")
-            beta, c, a, obj = (float(x) for x in row[:4])
-            effective_k, iterations = int(row[4]), int(row[6])
-            if i >= len(grid):
-                raise ValueError(f"row beyond the {len(grid)} betas of the grid")
-            if beta != grid[i]:
-                raise ValueError(f"beta {beta!r} is not beta {i} of the grid, {grid[i]!r}")
-        except ValueError as e:
-            raise ValidationError([f"{csv_path}, line {line}: {e}"]) from None
-        enc_path = base / ENCODER_DIR / f"point_{i:05d}.csv"
-        encoder = read_encoder_csv(enc_path)
-        errors = _alignment_errors(encoder, space)
-        if errors:
-            raise ValidationError([f"{enc_path}: {e}" for e in errors])
-        encoder_k = _category_count(need @ encoder.encoder)
-        encoder_c = complexity(encoder, space.need)
-        if encoder_k != effective_k or abs(encoder_c - c) > _COMPLEXITY_TOL:
-            raise ValidationError([
-                f"{enc_path}: the encoder has {encoder_k} categories and complexity "
-                f"{encoder_c!r} bits, but line {line} of {FRONTIER_CSV} records "
-                f"effective_k {effective_k} and {c!r} bits"])
-        points.append(FrontierPoint(
-            beta=beta, complexity_bits=c, accuracy_bits=a, objective_bits=obj,
-            effective_k=effective_k, encoder=encoder, converged=row[5] == "true",
-            iterations=iterations,
-        ))
-    if len(points) < len(grid):
-        end = lines[-1] + 1 if lines else 2
-        raise ValidationError([f"{csv_path}, line {end}: the file ends after "
-                               f"{len(points)} rows, but the grid has {len(grid)} betas"])
+
+    def read_points(header, rows, csv_path):
+        if header != _COLUMNS:
+            raise ValidationError([f"{csv_path}: expected the header {','.join(_COLUMNS)}"])
+        points, line = [], 1
+        for i, (row, line) in enumerate(rows):
+            try:
+                if row[5] not in ("true", "false"):
+                    raise ValueError(f"malformed row {row}")
+                beta, c, a, obj = (float(x) for x in row[:4])
+                effective_k, iterations = int(row[4]), int(row[6])
+                if i >= len(grid):
+                    raise ValueError(f"row beyond the {len(grid)} betas of the grid")
+                if beta != grid[i]:
+                    raise ValueError(f"beta {beta!r} is not beta {i} of the grid, {grid[i]!r}")
+            except ValueError as e:
+                raise ValidationError([f"{csv_path}, line {line}: {e}"]) from None
+            enc_path = base / ENCODER_DIR / f"point_{i:05d}.csv"
+            encoder = read_encoder_csv(enc_path)
+            errors = _alignment_errors(encoder, space)
+            if errors:
+                raise ValidationError([f"{enc_path}: {e}" for e in errors])
+            encoder_k = _category_count(need @ encoder.encoder)
+            encoder_c = complexity(encoder, space.need)
+            if encoder_k != effective_k or abs(encoder_c - c) > _COMPLEXITY_TOL:
+                raise ValidationError([
+                    f"{enc_path}: the encoder has {encoder_k} categories and complexity "
+                    f"{encoder_c!r} bits, but line {line} of {FRONTIER_CSV} records "
+                    f"effective_k {effective_k} and {c!r} bits"])
+            points.append(FrontierPoint(
+                beta=beta, complexity_bits=c, accuracy_bits=a, objective_bits=obj,
+                effective_k=effective_k, encoder=encoder, converged=row[5] == "true",
+                iterations=iterations,
+            ))
+        if len(points) < len(grid):
+            raise ValidationError([f"{csv_path}, line {line + 1}: the file ends after "
+                                   f"{len(points)} rows, but the grid has {len(grid)} betas"])
+        return points
+
+    points = _parse(csv_path, read_points)
     return Frontier(tuple(points), fingerprint, config)

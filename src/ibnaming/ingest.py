@@ -9,10 +9,12 @@ systems back to a need distribution over meanings.
 
 File formats (all UTF-8, header row required, every row as wide as the header;
 blank lines are skipped, and an error names the file and the physical line).
+Tables are streamed: a reader parses one row at a time, so no table's cells
+are ever held all at once, and the file is closed however the parse ends.
 Every table but the naming counts is a label column and one or more columns
-of numbers, with one or more data rows; every cell right of the label column
-is parsed as a number, so a prior or familiarity file may carry more columns
-of numbers, but only its second column is read:
+of numbers, with one or more data rows and no row label twice; every cell
+right of the label column is parsed as a number, so a prior or familiarity
+file may carry more columns of numbers, but only its second column is read:
   similarity CSV   first column label, remaining columns scores, header labels
   naming TSV/CSV   columns meaning_label, word_label, count[, condition]
   feature CSV      first column class label, header feature labels, values in [0,1]
@@ -351,17 +353,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _read_table(path) -> tuple[list[str], list[list[str]], list[int]]:
-    """The header, the non-blank data rows, each as wide as the header, and the
-    physical line each row ends on, of a UTF-8 CSV (tab-separated if .tsv)."""
-    path = Path(path)
+def _read_table(path):
+    """Yield the header of a UTF-8 CSV (tab-separated if .tsv), then each
+    non-blank data row, as wide as the header, with the physical line it
+    ends on; a row is read only when it is asked for. ``_parse`` closes the
+    file however its parse ends."""
     try:
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.reader(f, delimiter="\t" if path.suffix.lower() == ".tsv" else ",")
-            rows, lines = [], []
-            for row in filter(None, reader):  # blank lines read as []
-                rows.append(row)
-                lines.append(reader.line_num)
+            rows = filter(None, reader)  # blank lines read as []
+            header = next(rows, None)
+            if header is None:
+                raise ValidationError([f"{path}: file is empty"])
+            yield header
+            for row in rows:
+                if len(row) != len(header):
+                    raise ValidationError([f"{path}: line {reader.line_num} has {len(row)} "
+                                           f"cells, header has {len(header)}"])
+                yield row, reader.line_num
     except UnicodeDecodeError:
         # the error's offset counts from the start of the chunk being decoded;
         # UTF-8 never encodes a character with a \n or \r byte, so lines decode apart
@@ -372,14 +381,18 @@ def _read_table(path) -> tuple[list[str], list[list[str]], list[int]]:
                 raise ValidationError([f"{path}: line {line}: byte {raw[e.start]:#04x} "
                                        "is not UTF-8 text"]) from None
         raise
-    if not rows:
-        raise ValidationError([f"{path}: file is empty"])
-    header = rows[0]
-    for row, line in zip(rows, lines):
-        if len(row) != len(header):
-            raise ValidationError(
-                [f"{path}: line {line} has {len(row)} cells, header has {len(header)}"])
-    return header, rows[1:], lines[1:]
+
+
+def _parse(path, parse):
+    """``parse(header, rows, path)`` of the ``_read_table`` table at ``path``,
+    where ``rows`` yields each data row with its line; the file is closed
+    when ``parse`` returns or raises, read to its end or not."""
+    path = Path(path)
+    table = _read_table(path)
+    try:
+        return parse(next(table), table, path)
+    finally:
+        table.close()
 
 
 def _write_table(path, header, rows) -> None:
@@ -395,19 +408,18 @@ def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _labelled(table, path: Path) -> tuple[list[str], list[str], np.ndarray]:
+def _labelled(header: list[str], rows, path: Path) -> tuple[list[str], list[str], np.ndarray]:
     """The column labels, the row labels and the rows x columns numbers of a
-    ``_read_table`` table whose first column holds the labels; the header must
-    have a column after the label column and a data row must follow it."""
-    header, rows, lines = table
+    ``_read_table`` table whose first column holds the labels, parsed a row
+    at a time; the header must have a column after the label column, a data
+    row must follow it, and no row label may repeat."""
     if len(header) < 2:
         raise ValidationError([f"{path}: the header has no column after the label column"])
-    if not rows:
-        raise ValidationError([f"{path}: the header is followed by no data row"])
+    labels: dict[str, int] = {}  # row label -> its line, in row order
     values = []
-    for row, line in zip(rows, lines):
+    for row, line in rows:
         try:
-            values.append(list(map(float, row[1:])))
+            values.append(np.fromiter(map(float, row[1:]), np.float64, len(row) - 1))
         except ValueError:
             for cell in row[1:]:  # name the first cell that is not a number
                 try:
@@ -415,12 +427,19 @@ def _labelled(table, path: Path) -> tuple[list[str], list[str], np.ndarray]:
                 except ValueError:
                     raise ValidationError(
                         [f"{path}: line {line}: {cell!r} is not a number"]) from None
-    return [c.strip() for c in header[1:]], [row[0].strip() for row in rows], np.array(values)
+        label = row[0].strip()
+        if label in labels:
+            raise ValidationError(
+                [f"{path}: line {line}: label {label!r} is also on line {labels[label]}"])
+        labels[label] = line
+    if not values:
+        raise ValidationError([f"{path}: the header is followed by no data row"])
+    return [c.strip() for c in header[1:]], list(labels), np.array(values)
 
 
 def read_similarity_csv(path) -> SimilarityMatrix:
     path = Path(path)
-    labels, row_labels, values = _labelled(_read_table(path), path)
+    labels, row_labels, values = _parse(path, _labelled)
     if row_labels != labels:
         raise ValidationError(
             [f"{path}: row labels do not match header labels (square matrix required)"]
@@ -429,11 +448,10 @@ def read_similarity_csv(path) -> SimilarityMatrix:
 
 
 def read_naming_counts(path) -> NamingCounts:
-    return _naming_counts(*_read_table(path), Path(path))
+    return _parse(path, _naming_counts)
 
 
-def _naming_counts(header: list[str], rows: list[list[str]], lines: list[int],
-                   path: Path) -> NamingCounts:
+def _naming_counts(header: list[str], rows, path: Path) -> NamingCounts:
     header = [c.strip() for c in header]
     required = ["meaning_label", "word_label", "count"]
     if header[: len(required)] != required:
@@ -443,7 +461,7 @@ def _naming_counts(header: list[str], rows: list[list[str]], lines: list[int],
     has_condition = len(header) > 3 and header[3] == "condition"
     data = []
     conditions = set()
-    for row, line in zip(rows, lines):
+    for row, line in rows:
         try:
             count = int(row[2])
         except ValueError:
@@ -456,9 +474,8 @@ def _naming_counts(header: list[str], rows: list[list[str]], lines: list[int],
 
 
 def read_feature_table(features_path, familiarity_path) -> FeatureTable:
-    features_path, familiarity_path = Path(features_path), Path(familiarity_path)
-    feature_labels, class_labels, values = _labelled(_read_table(features_path), features_path)
-    _, scored, fam = _labelled(_read_table(familiarity_path), familiarity_path)
+    feature_labels, class_labels, values = _parse(features_path, _labelled)
+    _, scored, fam = _parse(familiarity_path, _labelled)
     scores = dict(zip(scored, fam[:, 0].tolist()))
     missing = [c for c in class_labels if c not in scores]
     if missing:
@@ -470,8 +487,7 @@ def read_feature_table(features_path, familiarity_path) -> FeatureTable:
 
 
 def read_prior_csv(path) -> Distribution:
-    path = Path(path)
-    _, labels, values = _labelled(_read_table(path), path)
+    _, labels, values = _parse(path, _labelled)
     return Distribution.create(values[:, 0], labels)
 
 
@@ -481,9 +497,9 @@ def write_prior_csv(d: Distribution, path) -> None:
 
 
 def _matrix(table, path: Path, create, notes: list[str] | None):
-    """Space or encoder from its ``_read_table`` table, built by
-    ``create(values, column_labels, meaning_labels)``."""
-    columns, meanings, values = _labelled(table, path)
+    """Space or encoder from its ``_labelled`` columns, meanings and values,
+    built by ``create(values, column_labels, meaning_labels)``."""
+    columns, meanings, values = table
     if notes is not None:
         dev = np.abs(values.sum(axis=1) - 1.0)
         bad = int(np.sum(dev > 1e-12))
@@ -500,7 +516,7 @@ def _write_matrix_csv(path, values: np.ndarray, columns, meanings) -> None:
 
 
 def read_space_csv(path, notes: list[str] | None = None) -> MeaningSpace:
-    return _matrix(_read_table(path), Path(path), MeaningSpace.create, notes)
+    return _matrix(_parse(path, _labelled), Path(path), MeaningSpace.create, notes)
 
 
 def write_space_csv(space: MeaningSpace, path) -> None:
@@ -509,16 +525,17 @@ def write_space_csv(space: MeaningSpace, path) -> None:
 
 
 def read_encoder_csv(path, notes: list[str] | None = None) -> NamingSystem:
-    return _matrix(_read_table(path), Path(path), NamingSystem.create, notes)
+    return _matrix(_parse(path, _labelled), Path(path), NamingSystem.create, notes)
 
 
 def read_naming_system(path, notes: list[str] | None = None) -> NamingSystem:
     """Naming counts if the first header cell is ``meaning_label``,
     otherwise an encoder matrix; the file is read once."""
     path = Path(path)
-    table = _read_table(path)
-    if table[0][0].strip() == "meaning_label":
-        return naming_system_from_counts(_naming_counts(*table, path))
+    table = _parse(path, lambda header, *rest: (
+        _naming_counts if header[0].strip() == "meaning_label" else _labelled)(header, *rest))
+    if isinstance(table, NamingCounts):
+        return naming_system_from_counts(table)
     return _matrix(table, path, NamingSystem.create, notes)
 
 

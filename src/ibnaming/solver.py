@@ -672,11 +672,13 @@ def anneal_frontier(space: MeaningSpace, config: SolverConfig) -> Frontier:
         if cand.objective < states[gi].objective - 1e-15:
             states[gi] = cand
 
-    points = tuple(
-        _make_point(states[gi], grid[gi], word_names, space.meaning_labels)
-        for gi in range(len(grid))
-    )
-    return Frontier(points, space.fingerprint, config)
+    # each state goes once its point is built, so no encoder is held twice
+    q = labels = src = cand = None
+    points = []
+    for gi in range(len(grid)):
+        points.append(_make_point(states[gi], grid[gi], word_names, space.meaning_labels))
+        states[gi] = None
+    return Frontier(tuple(points), space.fingerprint, config)
 
 
 def fixed_point_delta(space: MeaningSpace, point: FrontierPoint) -> float:

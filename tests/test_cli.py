@@ -378,6 +378,20 @@ class TestExitCodes:
         lines = result.output.strip().splitlines()
         assert lines == [f"Error: {bad}: {message}"], result.output
 
+    def test_familiarity_class_listed_twice_exits_one(self, runner, tmp_path):
+        # the fixture scores trout on line 2; line 12 scores it again
+        familiarity = tmp_path / "familiarity.csv"
+        familiarity.write_text((FIXTURES / "familiarity.csv").read_text() + "trout,1.0\n")
+        out, need = tmp_path / "space.csv", tmp_path / "need.csv"
+        result = runner.invoke(main, ["make-space", "--features", str(FIXTURES / "features.csv"),
+                                      "--familiarity", str(familiarity), "--out", str(out),
+                                      "--need-out", str(need)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip().splitlines() == [
+            f"Error: {familiarity}: line 12: label 'trout' is also on line 2"]
+        assert not out.exists() and not need.exists()
+
     @pytest.mark.parametrize("top_n", ["0", "-1"])
     def test_top_n_below_one_exits_two(self, runner, top_n):
         # every path exists, so only --top-n can fail

@@ -102,9 +102,13 @@ class TestNamingSystemValidation:
         assert validate_naming_system(sys, space) == []
 
     def test_duplicate_word_label(self):
-        sys = NamingSystem(np.eye(2), ("w0", "w0"), ("m0", "m1"))
-        errors = validate_naming_system(sys)
-        assert any("duplicate" in e and "w0" in e for e in errors)
+        # each message names its label once
+        sys = NamingSystem(np.eye(2), ("w0", "w0"), ("m1", "m1"))
+        assert validate_naming_system(sys) == [
+            "duplicate word label 'w0'", "duplicate meaning label 'm1'"]
+        with pytest.raises(ValidationError) as e:
+            Distribution.create([0.5, 0.5], ["m0", "m0"])
+        assert e.value.errors == ["duplicate label 'm0'"]
 
     def test_permuted_meaning_order_reported(self):
         space = self.make_space3()

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ibnaming.ingest import (
     read_encoder_csv,
     read_feature_table,
     read_naming_counts,
+    read_naming_system,
     read_prior_csv,
     read_similarity_csv,
     read_space_csv,
@@ -32,6 +34,19 @@ from ibnaming.ingest import (
     write_space_csv,
 )
 from helpers import random_space, random_system
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every file object that ``ingest`` opens, in order."""
+    files = []
+
+    def tracking_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(ingest, "open", tracking_open, raising=False)
+    return files
 
 
 class TestSimilaritySpace:
@@ -380,7 +395,11 @@ class TestFileIO:
          lambda d: read_naming_counts(d / "naming.tsv"), "line 4: count 'z' is not an integer"),
         ("space.csv", "meaning,u0,u1\nm0,0.5,0.5\n\nm1,0.5\n",
          lambda d: read_space_csv(d / "space.csv"), "line 4 has 2 cells, header has 3"),
-    ], ids=["space", "prior", "features", "familiarity", "naming-count", "ragged-row"])
+        ("familiarity.csv", "class_label,score\nc0,1\n\nc0,2\n",
+         lambda d: read_feature_table(d / "features.csv", d / "familiarity.csv"),
+         "line 4: label 'c0' is also on line 2"),
+    ], ids=["space", "prior", "features", "familiarity", "naming-count", "ragged-row",
+            "repeated-label"])
     def test_errors_name_the_physical_line(self, tmp_path, name, text, read, message):
         (tmp_path / "features.csv").write_text("class,f0,f1\nc0,0.5,0.5\nc1,0.25,0.5\n")
         (tmp_path / "familiarity.csv").write_text("class_label,score\nc0,1\nc1,2\n")
@@ -405,3 +424,60 @@ class TestFileIO:
         notes: list[str] = []
         read_space_csv(path, notes=notes)
         assert notes and "renormalized" in notes[0]
+
+
+class TestStreaming:
+    """Tables are parsed a row at a time, and the file is closed however the
+    parse ends."""
+
+    ROWS = 300
+
+    def long_table(self, tmp_path, last: str):
+        """A space CSV of ROWS rows with a blank line after row 150 and
+        ``last`` as its final row, on line ROWS + 2."""
+        rows = [f"m{i},0.5,0.5" for i in range(self.ROWS - 1)] + [last]
+        path = tmp_path / "space.csv"
+        path.write_text("\n".join(["meaning,u0,u1", *rows[:150], "", *rows[150:]]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("last, message", [
+        ("m299,0.5,x", "line 302: 'x' is not a number"),
+        ("m299,0.5", "line 302 has 2 cells, header has 3"),
+    ], ids=["bad-cell", "ragged-row"])
+    def test_last_row_errors_name_the_physical_line(self, tmp_path, opened, last, message):
+        path = self.long_table(tmp_path, last)
+        with pytest.raises(ValidationError) as e:
+            read_space_csv(path)
+        assert e.value.errors == [f"{path}: {message}"]
+        assert [f.closed for f in opened] == [True]
+
+    def test_early_error_closes_the_file(self, tmp_path, opened):
+        path = self.long_table(tmp_path, "m299,0.5,0.5")
+        path.write_text(path.read_text().replace("m1,0.5,0.5", "m1,0.5,oops"))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: line 3: 'oops'")):
+            read_space_csv(path)
+        assert [f.closed for f in opened] == [True]
+
+    @pytest.mark.parametrize("kind", ["counts", "matrix"])
+    def test_naming_system_file_is_opened_once(self, tmp_path, opened, kind):
+        path = tmp_path / "system.csv"
+        if kind == "counts":
+            path.write_text("meaning_label,word_label,count\nm0,a,3\nm1,b,1\n")
+        else:
+            path.write_text("meaning,a,b\nm0,1.0,0.0\nm1,0.0,1.0\n")
+        system = read_naming_system(path)
+        assert system.encoder.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_space_read_peak_is_a_few_arrays(self, tmp_path, rng):
+        # the paper's animal shape; a string held per cell would peak
+        # near fifteen times the array
+        path = tmp_path / "space.csv"
+        write_space_csv(random_space(rng, 113, 757), path)
+        tracemalloc.start()
+        try:
+            space = read_space_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * space.representations.nbytes

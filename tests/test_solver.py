@@ -1,4 +1,5 @@
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from ibnaming import (
     select_most_informative_with_k,
     solve_at_beta,
 )
+from ibnaming import solver
 from ibnaming.solver import (
     _ANDERSON_DEPTH,
     _MIX_BLOCK,
@@ -222,6 +224,22 @@ class TestAnnealFrontier:
         front = anneal_frontier(space, small_config((0.0, 1.0, 64.0)))
         # identical meanings can never be told apart: at most 2 categories
         assert front.points[-1].effective_k == 2
+
+    def test_each_state_is_freed_once_its_point_is_built(self, rng, monkeypatch):
+        # so the sweep never holds an encoder twice: by the time point i is
+        # built, the solve states of every earlier point are gone
+        refs, alive = [], []
+        make_point = solver._make_point
+
+        def tracked(state, *args):
+            alive.append([ref() is not None for ref in refs])
+            refs.append(weakref.ref(state))
+            return make_point(state, *args)
+
+        monkeypatch.setattr(solver, "_make_point", tracked)
+        grid = default_beta_grid(16, 6)
+        anneal_frontier(random_space(rng, 4, 4), small_config(grid))
+        assert alive == [[False] * i for i in range(len(grid))]
 
     def test_fingerprint_recorded(self, rng):
         space = random_space(rng, 3, 3)
