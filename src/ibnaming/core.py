@@ -7,10 +7,13 @@ encoder q(w|m) from meanings to words. Everything downstream (information
 measures, the frontier solver, efficiency evaluation) consumes these types.
 
 Construction conventions: the ``create`` classmethods validate untrusted
-input, zero out sub-1e-15 noise, and renormalize rows that are within
-tolerance of 1. Direct dataclass construction skips value checks and is
-meant for internal, already-normalized arrays; ``validate_meaning_space``
-and ``validate_naming_system`` report violations on any instance without
+input on one private float64 copy: they zero out sub-1e-15 noise, validate
+the frozen copy as the returned instance, then renormalize rows that are
+within tolerance of 1. Direct dataclass construction skips value checks and
+is meant for internal, already-normalized arrays; it keeps a read-only
+float64 array that owns its data and copies anything else, so a writeable
+array or a view is never aliased. ``validate_meaning_space`` and
+``validate_naming_system`` report violations on any instance without
 raising.
 """
 
@@ -44,26 +47,35 @@ class ValidationError(IBNamingError):
         super().__init__("; ".join(self.errors))
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
+def _freeze(a, dtype=np.float64) -> np.ndarray:
+    """``a`` itself if it is a read-only ``dtype`` array owning its data,
+    otherwise a read-only copy of it."""
+    if (type(a) is np.ndarray and a.dtype == dtype and a.flags.owndata
+            and not a.flags.writeable):
+        return a
+    out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
 
 
-def _clean_probabilities(a: np.ndarray) -> np.ndarray:
-    """Zero out sub-threshold magnitudes; leaves genuine values untouched."""
-    out = np.array(a, dtype=np.float64, copy=True)
-    out[np.abs(out) < PROB_FLOOR] = 0.0
-    return out
-
-
-def _renormalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Divide out row sums, but only where they deviate beyond RENORM_SKIP_TOL."""
-    sums = rows.sum(axis=1, keepdims=True)
-    off = np.abs(sums - 1.0) > RENORM_SKIP_TOL
-    if not off.any():
-        return rows
-    return np.where(off, rows / sums, rows)
+def _checked(cls, a, ndim: int, validate, *rest):
+    """``cls(a, *rest)`` from untrusted input, on one private copy of ``a``:
+    sub-PROB_FLOOR magnitudes are zeroed, every violation ``validate`` finds
+    is raised, then rows off 1 by more than RENORM_SKIP_TOL are divided out."""
+    out = np.array(a, dtype=np.float64, ndmin=ndim)
+    if not out.flags.owndata:  # ndmin viewed a lower-dimensional input
+        out = out.copy()
+    out[(out < PROB_FLOOR) & (out > -PROB_FLOOR)] = 0.0
+    out.flags.writeable = False
+    made = cls(out, *rest)
+    errors = validate(made)
+    if errors:
+        raise ValidationError(errors)
+    sums = out.sum(axis=-1, keepdims=True)
+    out.flags.writeable = True
+    np.divide(out, sums, out=out, where=np.abs(sums - 1.0) > RENORM_SKIP_TOL)
+    out.flags.writeable = False
+    return made
 
 
 def _check_rows(matrix: np.ndarray, what: str, errors: list[str]) -> None:
@@ -103,6 +115,8 @@ class Distribution:
 
     def validate(self) -> list[str]:
         errors: list[str] = []
+        if self.mass.ndim != 1:
+            return [f"mass must be a vector, got shape {self.mass.shape}"]
         if not np.all(np.isfinite(self.mass)):
             errors.append("mass contains non-finite entries")
         else:
@@ -117,12 +131,7 @@ class Distribution:
     @classmethod
     def create(cls, mass, labels) -> "Distribution":
         """Validate untrusted input and renormalize the within-tolerance sum."""
-        cleaned = _clean_probabilities(np.atleast_1d(np.asarray(mass, dtype=np.float64)))
-        d = cls(cleaned, tuple(labels))
-        errors = d.validate()
-        if errors:
-            raise ValidationError(errors)
-        return cls(_renormalize_rows(cleaned[None, :])[0], d.labels)
+        return _checked(cls, mass, 1, cls.validate, labels)
 
     @classmethod
     def uniform(cls, labels) -> "Distribution":
@@ -195,13 +204,8 @@ class MeaningSpace:
     @classmethod
     def create(cls, representations, universe_labels, meaning_labels,
                need: Distribution | None = None) -> "MeaningSpace":
-        cleaned = _clean_probabilities(np.atleast_2d(np.asarray(representations, dtype=np.float64)))
-        space = cls(cleaned, tuple(universe_labels), tuple(meaning_labels), need)
-        errors = validate_meaning_space(space)
-        if errors:
-            raise ValidationError(errors)
-        return cls(_renormalize_rows(cleaned), space.universe_labels,
-                   space.meaning_labels, need)
+        return _checked(cls, representations, 2, validate_meaning_space,
+                        universe_labels, meaning_labels, need)
 
 
 @dataclass(frozen=True)
@@ -227,12 +231,7 @@ class NamingSystem:
 
     @classmethod
     def create(cls, encoder, word_labels, meaning_labels) -> "NamingSystem":
-        cleaned = _clean_probabilities(np.atleast_2d(np.asarray(encoder, dtype=np.float64)))
-        sys = cls(cleaned, tuple(word_labels), tuple(meaning_labels))
-        errors = validate_naming_system(sys)
-        if errors:
-            raise ValidationError(errors)
-        return cls(_renormalize_rows(cleaned), sys.word_labels, sys.meaning_labels)
+        return _checked(cls, encoder, 2, validate_naming_system, word_labels, meaning_labels)
 
 
 def validate_meaning_space(space: MeaningSpace) -> list[str]:

@@ -39,6 +39,7 @@ from .core import (
     IBNamingError,
     MeaningSpace,
     NamingSystem,
+    RENORM_SKIP_TOL,
     ValidationError,
     _freeze,
 )
@@ -502,7 +503,7 @@ def _matrix(table, path: Path, create, notes: list[str] | None):
     columns, meanings, values = table
     if notes is not None:
         dev = np.abs(values.sum(axis=1) - 1.0)
-        bad = int(np.sum(dev > 1e-12))
+        bad = int(np.sum(dev > RENORM_SKIP_TOL))
         if bad:
             notes.append(f"{path.name}: renormalized {bad} rows (max deviation {dev.max():.3g})")
     return create(values, columns, meanings)

@@ -20,6 +20,7 @@ from .core import (
     NamingSystem,
     ValidationError,
     _alignment_errors,
+    _freeze,
 )
 
 # Finite stand-in for log(0) inside vectorized kernels. Multiplying it by a
@@ -83,12 +84,8 @@ class ListenerModel:
     defined: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.reconstructions, dtype=np.float64, copy=True)
-        r.flags.writeable = False
-        object.__setattr__(self, "reconstructions", r)
-        d = np.array(self.defined, dtype=bool, copy=True)
-        d.flags.writeable = False
-        object.__setattr__(self, "defined", d)
+        object.__setattr__(self, "reconstructions", _freeze(self.reconstructions))
+        object.__setattr__(self, "defined", _freeze(self.defined, bool))
 
 
 def _align(sys: NamingSystem, space: MeaningSpace) -> None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import IBNamingError, MeaningSpace, NamingSystem, ValidationError
-from .measures import _LN2, _accuracy, _complexity, _distortion, _listener, _log
+from .measures import _LN2, _accuracy, _align, _complexity, _distortion, _listener, _log
 
 # Words count toward the effective category number when their marginal mass
 # strictly exceeds this.
@@ -630,8 +630,7 @@ def solve_at_beta(space: MeaningSpace, beta: float, init: NamingSystem,
     """
     if not 0 <= beta < np.inf:
         raise ValidationError([f"beta must be finite and >= 0, got {beta}"])
-    if init.meaning_labels != space.meaning_labels:
-        raise ValidationError(["init encoder meaning labels do not match the space"])
+    _align(init, space)
     if config is None:
         config = SolverConfig(beta_grid=(float(beta),))
     ws = _Workspace.for_space(space)

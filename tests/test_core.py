@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from ibnaming import (
     MeaningSpace,
     NamingSystem,
     ValidationError,
+    attach_need,
     marginal_word_distribution,
     validate_meaning_space,
     validate_naming_system,
@@ -31,6 +34,11 @@ class TestDistribution:
     def test_bad_sum_rejected(self):
         with pytest.raises(ValidationError, match="sums to"):
             Distribution.create([0.4, 0.4], ["a", "b"])
+
+    def test_matrix_rejected(self):
+        # a 2x2 mass summing to 1 used to come back row-normalized, summing to 2
+        with pytest.raises(ValidationError, match=r"mass must be a vector, got shape \(2, 2\)"):
+            Distribution.create(np.full((2, 2), 0.25), ["a", "b"])
 
     def test_within_tolerance_renormalized(self):
         d = Distribution.create([0.5 + 4e-10, 0.5], ["a", "b"])
@@ -151,3 +159,66 @@ class TestMarginalWordDistribution:
             sys = random_system(rng, space)
             out = marginal_word_distribution(sys, space.need)
             assert out.validate() == []
+
+
+def traced_peak(make) -> int:
+    """tracemalloc peak, in bytes, of one call of ``make`` after a warm-up call."""
+    make()
+    tracemalloc.start()
+    try:
+        make()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneCopy:
+    """``create`` builds on one private copy of its input, and direct
+    construction copies exactly what a caller could still write to."""
+
+    N, K = 113, 757  # the animal domain's classes and features
+
+    @pytest.fixture
+    def matrix(self, rng):
+        a = rng.random((self.N, self.K))
+        return a / a.sum(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("cls", [MeaningSpace, NamingSystem])
+    def test_matrix_create_peak(self, matrix, cls):
+        columns = tuple(f"c{j}" for j in range(self.K))
+        meanings = tuple(f"m{i}" for i in range(self.N))
+        assert traced_peak(lambda: cls.create(matrix, columns, meanings)) <= 1.5 * matrix.nbytes
+
+    def test_distribution_create_peak(self, rng):
+        mass = rng.random(self.N * self.K)
+        mass /= mass.sum()
+        labels = tuple(f"m{i}" for i in range(mass.size))
+        # the duplicate-label check hashes every label; that set is not the array's
+        label_set = traced_peak(lambda: set(labels))
+        assert traced_peak(lambda: Distribution.create(mass, labels)) <= (
+            1.5 * mass.nbytes + label_set)
+
+    def test_attach_need_shares_representations(self, rng):
+        space = random_space(rng, 4, 5)
+        for need in (space.need, "uniform"):
+            assert attach_need(space, need).representations is space.representations
+
+    def test_lower_dimensional_input_renormalized(self):
+        # ndmin widens these inputs through a view, which must not be the array renormalized
+        sys = NamingSystem.create([0.5 + 4e-10, 0.5], ("w0", "w1"), ("m0",))
+        assert sys.encoder.shape == (1, 2)
+        assert abs(sys.encoder.sum() - 1.0) < 1e-15
+        assert Distribution.create(1.0 + 4e-10, ["a"]).mass.tolist() == [1.0]
+
+    def test_created_array_is_kept_by_construction(self):
+        d = uniform2()
+        assert Distribution(d.mass, d.labels).mass is d.mass
+
+    @pytest.mark.parametrize("view", [False, True], ids=["writeable", "read-only-view"])
+    def test_caller_array_is_copied(self, view):
+        caller = np.array([[0.5, 0.5], [0.0, 1.0]])
+        given = caller[:] if view else caller
+        given.flags.writeable = not view  # a read-only view of a writeable array
+        sys = NamingSystem(given, ("w0", "w1"), ("m0", "m1"))
+        caller[0] = [1.0, 0.0]
+        np.testing.assert_array_equal(sys.encoder, [[0.5, 0.5], [0.0, 1.0]])

@@ -1,6 +1,7 @@
 """Every module-level import in the package's modules is used, every
 module-level private function, class and constant is referenced somewhere
-in the package, and only ``ingest`` imports ``csv``.
+in the package, only ``ingest`` imports ``csv`` and only ``core`` sets an
+array's ``writeable`` flag.
 
 ``__init__.py`` is left out of the first check: it imports names to
 re-export them.
@@ -88,3 +89,24 @@ def test_only_ingest_imports_csv():
         if any(module.split(".")[0] == "csv" for _, module, _ in imports(ast.walk(tree))):
             importers.append(path.name)
     assert importers == ["ingest.py"]
+
+
+def sets_writeable(source: str) -> bool:
+    """Whether the module assigns to a ``.writeable`` attribute or calls ``setflags``."""
+    return any(isinstance(node, ast.Attribute)
+               and (node.attr == "writeable" and isinstance(node.ctx, ast.Store)
+                    or node.attr == "setflags")
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_detects_a_writeable_flag():
+    assert sets_writeable("a.flags.writeable = False\n")
+    assert sets_writeable("a.setflags(write=False)\n")
+    assert not sets_writeable("ok = a.flags.writeable\n")
+
+
+def test_only_core_sets_writeable():
+    # core's _freeze is the one rule for which arrays are copied and frozen
+    setters = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if sets_writeable(path.read_text(encoding="utf-8"))]
+    assert setters == ["core.py"]

@@ -419,11 +419,15 @@ class TestFileIO:
             enc, sys.word_labels, sys.meaning_labels).encoder.tobytes()
 
     def test_renormalization_noted(self, tmp_path):
+        # the second row is off by 5e-13: below 1e-12, but core still divides it out
         path = tmp_path / "space.csv"
-        path.write_text("meaning,u0,u1\nm0,0.5000000001,0.5\nm1,0.5,0.5\n")
-        notes: list[str] = []
-        read_space_csv(path, notes=notes)
-        assert notes and "renormalized" in notes[0]
+        for row, deviation in [("m0,0.5000000001,0.5", "1e-10"),
+                               ("m0,0.5000000000005,0.5", "5e-13")]:
+            path.write_text(f"meaning,u0,u1\n{row}\nm1,0.5,0.5\n")
+            notes: list[str] = []
+            space = read_space_csv(path, notes=notes)
+            assert notes == [f"space.csv: renormalized 1 rows (max deviation {deviation})"]
+            assert space.representations[0].sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestStreaming:

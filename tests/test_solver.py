@@ -11,6 +11,7 @@ from ibnaming import (
     CategorySelectionError,
     Distribution,
     MeaningSpace,
+    NamingSystem,
     SolverConfig,
     ValidationError,
     accuracy,
@@ -158,6 +159,19 @@ class TestSolveAtBeta:
         space = random_space(rng)
         with pytest.raises(ValidationError):
             solve_at_beta(space, -1.0, identity_system(space))
+
+    def test_misaligned_init_rejected(self, rng):
+        # the same check as every measure: order first, then the labels
+        space = random_space(rng, 3, 3)
+        labels = space.meaning_labels
+        permuted = NamingSystem.create(np.eye(3), ("w0", "w1", "w2"), labels[::-1])
+        with pytest.raises(ValidationError,
+                           match=f"meaning label mismatch at index 0: {labels[2]!r} vs "
+                                 f"{labels[0]!r}"):
+            solve_at_beta(space, 1.0, permuted)
+        short = NamingSystem.create(np.eye(2), ("w0", "w1"), labels[:2])
+        with pytest.raises(ValidationError, match="encoder has 2 meanings, space has 3"):
+            solve_at_beta(space, 1.0, short)
 
     def test_nonconvergence_flagged_not_raised(self, rng):
         space = random_space(rng, 5, 5)
