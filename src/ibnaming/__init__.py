@@ -33,7 +33,6 @@ from .solver import (
     SolverConfig,
     anneal_frontier,
     default_beta_grid,
-    fixed_point_delta,
     select_most_informative_with_k,
     solve_at_beta,
 )

@@ -43,7 +43,8 @@ _COMPLEXITY_TOL = 1e-9
 
 
 def save_frontier(frontier: Frontier, out_dir) -> dict[str, Path]:
-    """Write the CSV, the metadata and the encoders; returns the written paths."""
+    """Write the CSV, the metadata and the encoders, in place of any encoders
+    already in the directory; returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / FRONTIER_CSV
@@ -62,6 +63,9 @@ def save_frontier(frontier: Frontier, out_dir) -> dict[str, Path]:
     })
     enc_dir = out / ENCODER_DIR
     enc_dir.mkdir(exist_ok=True)
+    # encoders an earlier, longer frontier left here would join frontier_files
+    for stale in list(enc_dir.glob("point_*.csv")):
+        stale.unlink()
     for i, p in enumerate(frontier.points):
         write_encoder_csv(p.encoder, enc_dir / f"point_{i:05d}.csv")
     return {"csv": csv_path, "meta": meta_path, "encoders": enc_dir}

@@ -25,7 +25,9 @@ one update. So every recorded point is a fixed point of the plain update to
 that accuracy in C and A, not only in F.
 
 Words whose marginal mass falls below the prune threshold are dropped
-mid-iteration (they never come back). Words with near-identical
+mid-iteration. One rule covers mixing and pruning alike: a step that raises
+F beyond its rounding is not taken, and a pruned step that does turns
+pruning off for the rest of the solve. Words with near-identical
 reconstructions are merged, when the iteration would stop and at doubling
 intervals during it, and a fresh pass starts on the merged encoder.
 """
@@ -244,7 +246,6 @@ class _SolveState:
     objective: float
     iterations: int
     converged: bool
-    pruned: bool  # some evaluation dropped a word
 
 
 def _normalized(logits: np.ndarray) -> np.ndarray:
@@ -308,9 +309,9 @@ class _Step:
     round_off: float  # Fisher norm of the rounding error of the update
     pruned: bool
 
-    def state(self, iterations: int, converged: bool, pruned: bool) -> _SolveState:
+    def state(self, iterations: int, converged: bool) -> _SolveState:
         return _SolveState(self.q, self.labels, self.qw, self.complexity, self.accuracy,
-                           self.objective, iterations, converged, pruned)
+                           self.objective, iterations, converged)
 
 
 def _plain_update(ws: _Workspace, x: np.ndarray, labels: np.ndarray, beta: float,
@@ -459,21 +460,25 @@ class _Anderson:
 
 
 def _fixed_point_loop(ws: _Workspace, q: np.ndarray, labels: np.ndarray, beta: float,
-                      config: SolverConfig, prune: float) -> _SolveState:
+                      config: SolverConfig) -> _SolveState:
     """Iterate the update map at one beta from the encoder q.
 
     Steps are Anderson-mixed, except that a run of plain updates confirms
-    a candidate stop, and that a mixed step which raises F (beyond its
-    rounding) is replaced by the plain step. The stopping rule is described
-    in the module docstring. Duplicate words, looked for at a candidate stop
-    and 16, 32, 64, ... evaluations into a pass, leave directions in which
-    nothing moves and which slow the mixing down: they are merged and a
-    fresh pass starts on the merged encoder. At ``max_iterations``
-    evaluations over all passes the last evaluated state is returned.
+    a candidate stop. One rule keeps F from rising: a step that raises F
+    above the previous point's F, beyond its rounding, is not taken. A mixed
+    step that does is replaced by the plain step; a plain step that pruned a
+    word and does is discarded, and the solve goes on with pruning off. The
+    first evaluation of each pass is the seed itself, unpruned, so F never
+    exceeds F(q). The stopping rule is described in the module docstring.
+    Duplicate words, looked for at a candidate stop and 16, 32, 64, ...
+    evaluations into a pass, leave directions in which nothing moves and
+    which slow the mixing down: they are merged and a fresh pass starts on
+    the merged encoder. At ``max_iterations`` evaluations over all passes,
+    discarded steps included, the last evaluated state is returned.
     """
     tol, budget = config.convergence_tol, config.max_iterations
+    prune = config.mass_prune_threshold
     evals = 0
-    pruned = False
     while True:
         # A fresh pass: new Anderson history, run, rho and checkpoints; the
         # finished pass's arrays go before the merged encoder is evaluated.
@@ -483,10 +488,9 @@ def _fixed_point_loop(ws: _Workspace, q: np.ndarray, labels: np.ndarray, beta: f
         rho = 0.0  # largest steady contraction ratio of the plain update seen
         start = evals
         next_check = _DUPLICATE_CHECK
-        s = _plain_update(ws, _log_encoder(q), labels, beta, prune)
+        s = _plain_update(ws, _log_encoder(q), labels, beta, 0.0)
         evals += 1
         while True:
-            pruned |= s.pruned
             checkpoint = evals - start >= next_check
             if checkpoint:
                 next_check *= 2
@@ -503,26 +507,27 @@ def _fixed_point_loop(ws: _Workspace, q: np.ndarray, labels: np.ndarray, beta: f
             if merged is not None and evals < budget:
                 break
             if stop and merged is None:
-                return s.state(evals, True, pruned)
+                return s.state(evals, True)
             if evals >= budget:
-                return s.state(evals, False, pruned)
+                return s.state(evals, False)
             accel.push(s.weights, s.qw, s.f, s.g)
+            ceiling = s.objective + _F_SLACK * (abs(s.complexity) + beta * abs(s.accuracy))
             s_new = None
             if accel.depth and not (tail < tol and len(run) <= _MAX_CONFIRM_STEPS):
                 s_new = _plain_update(ws, _normalized(accel.mix()), s.labels, beta, prune)
                 evals += 1
                 run = []
-                if s_new.objective > s.objective + _F_SLACK * (abs(s.complexity)
-                                                               + beta * abs(s.accuracy)):
-                    pruned |= s_new.pruned
+                if s_new.objective > ceiling:
                     s_new = None  # the mixed step raised F: take the plain step instead
                     accel.clear()
                     run = [s.residual]
-                    if evals >= budget:
-                        return s.state(evals, False, pruned)
-            if s_new is None:
+            while s_new is None:
+                if evals >= budget:
+                    return s.state(evals, False)
                 s_new = _plain_update(ws, s.g, s.labels, beta, prune)
                 evals += 1
+                if s_new.pruned and prune > 0 and s_new.objective > ceiling:
+                    s_new, prune = None, 0.0  # pruning raised F: discard the step
             if s_new.pruned:
                 accel.clear()
                 run = []
@@ -580,19 +585,6 @@ def _merge_duplicate_words(s: _Step):
     return np.stack(cols, axis=1), np.asarray(labels)
 
 
-def _solve_arrays(ws: _Workspace, q0: np.ndarray, labels0: np.ndarray, beta: float,
-                  config: SolverConfig) -> _SolveState:
-    state = _fixed_point_loop(ws, q0, labels0, beta, config, config.mass_prune_threshold)
-    # Unless some evaluation pruned a word, the unpruned run would repeat this one.
-    if state.pruned and config.mass_prune_threshold > 0 and state.objective > (
-            _plain_update(ws, _log_encoder(q0), labels0, beta, 0.0).objective + 1e-9):
-        # pruning lifted the objective past the warm start; retry unpruned
-        alt = _fixed_point_loop(ws, q0, labels0, beta, config, 0.0)
-        if alt.objective < state.objective:
-            state = alt
-    return state
-
-
 def _category_count(word_mass: np.ndarray) -> int:
     """Number of words whose marginal mass strictly exceeds
     DEFAULT_CATEGORY_MASS_THRESHOLD: a point's effective_k."""
@@ -624,9 +616,10 @@ def solve_at_beta(space: MeaningSpace, beta: float, init: NamingSystem,
                   config: SolverConfig | None = None) -> FrontierPoint:
     """Solve the tradeoff at one beta from a caller-supplied initial encoder.
 
-    The objective of the result never exceeds the objective of ``init``;
-    non-convergence within the iteration budget is reported through the
-    ``converged`` flag, not an exception.
+    No step of the solve raises F beyond its rounding, so the objective of
+    the result never exceeds the objective of ``init``; non-convergence
+    within the iteration budget is reported through the ``converged`` flag,
+    not an exception.
     """
     if not 0 <= beta < np.inf:
         raise ValidationError([f"beta must be finite and >= 0, got {beta}"])
@@ -634,7 +627,7 @@ def solve_at_beta(space: MeaningSpace, beta: float, init: NamingSystem,
     if config is None:
         config = SolverConfig(beta_grid=(float(beta),))
     ws = _Workspace.for_space(space)
-    state = _solve_arrays(ws, init.encoder, np.arange(init.num_words), beta, config)
+    state = _fixed_point_loop(ws, init.encoder, np.arange(init.num_words), beta, config)
     return _make_point(state, beta, init.word_labels, space.meaning_labels)
 
 
@@ -662,12 +655,12 @@ def anneal_frontier(space: MeaningSpace, config: SolverConfig) -> Frontier:
     q, labels = np.eye(n_m), np.arange(n_m)
     states: list[_SolveState | None] = [None] * len(grid)
     for gi in range(len(grid) - 1, -1, -1):
-        states[gi] = _solve_arrays(ws, q, labels, grid[gi], config)
+        states[gi] = _fixed_point_loop(ws, q, labels, grid[gi], config)
         q, labels = states[gi].q, states[gi].labels
 
     for gi in range(1, len(grid)):  # the reverse pass
         src = states[gi - 1]
-        cand = _solve_arrays(ws, src.q, src.labels, grid[gi], config)
+        cand = _fixed_point_loop(ws, src.q, src.labels, grid[gi], config)
         if cand.objective < states[gi].objective - 1e-15:
             states[gi] = cand
 
@@ -678,21 +671,6 @@ def anneal_frontier(space: MeaningSpace, config: SolverConfig) -> Frontier:
         points.append(_make_point(states[gi], grid[gi], word_names, space.meaning_labels))
         states[gi] = None
     return Frontier(tuple(points), space.fingerprint, config)
-
-
-def fixed_point_delta(space: MeaningSpace, point: FrontierPoint) -> float:
-    """|change in F_beta| after one extra plain update of a recorded point.
-
-    F is stationary at a fixed point, so this is a weak check: it stays tiny
-    while C and A still drift. What pins C and A is the solver's stopping
-    rule; to test it, keep iterating from the point at a tight tolerance
-    and compare complexity and accuracy.
-    """
-    ws = _Workspace.for_space(space)
-    labels = np.arange(point.encoder.num_words)
-    s0 = _plain_update(ws, _log_encoder(point.encoder.encoder), labels, point.beta, 0.0)
-    s1 = _plain_update(ws, s0.g, s0.labels, point.beta, 0.0)
-    return abs(s1.objective - s0.objective)
 
 
 def select_most_informative_with_k(frontier: Frontier, k: int) -> FrontierPoint:

@@ -12,6 +12,7 @@ from ibnaming import (
     SolverConfig,
     solve_at_beta,
 )
+from ibnaming.solver import _Workspace, _log_encoder, _plain_update
 
 
 def random_space(rng: np.random.Generator, n_meanings: int | None = None,
@@ -62,3 +63,16 @@ def continued_ca_move(space: MeaningSpace, point: FrontierPoint, tol: float = 1e
     moved = solve_at_beta(space, point.beta, point.encoder, config)
     return max(abs(moved.complexity_bits - point.complexity_bits),
                abs(moved.accuracy_bits - point.accuracy_bits))
+
+
+def fixed_point_delta(space: MeaningSpace, point: FrontierPoint) -> float:
+    """|change in F_beta| after one extra plain update of a recorded point.
+
+    F is stationary at a fixed point, so this is a weak check: it stays tiny
+    while C and A still drift; ``continued_ca_move`` pins those.
+    """
+    ws = _Workspace.for_space(space)
+    labels = np.arange(point.encoder.num_words)
+    s0 = _plain_update(ws, _log_encoder(point.encoder.encoder), labels, point.beta, 0.0)
+    s1 = _plain_update(ws, s0.g, s0.labels, point.beta, 0.0)
+    return abs(s1.objective - s0.objective)

@@ -29,7 +29,7 @@ from ibnaming.ingest import read_feature_table, read_naming_counts, read_similar
 import oracle
 import regen_golden
 from conftest import FIXTURES, GOLDEN
-from helpers import continued_ca_move, random_space, random_system
+from helpers import continued_ca_move, fixed_point_delta, random_space, random_system
 
 
 @contextmanager
@@ -168,14 +168,14 @@ class TestCriterion3FixedPoint:
                 front = ib.anneal_frontier(space, cfg)
                 for point in front.points:
                     assert point.converged
-                    assert ib.fixed_point_delta(space, point) < 1e-10
+                    assert fixed_point_delta(space, point) < 1e-10
                     assert continued_ca_move(space, point) < 1e-8
 
             c_space, _, _, c_front = regen_golden.container_pipeline()
             for space, front in ((c_space, c_front), regen_golden.animal_pipeline()):
                 for point in front.points:
                     assert point.converged, f"beta={point.beta}"
-                    assert ib.fixed_point_delta(space, point) < 1e-10
+                    assert fixed_point_delta(space, point) < 1e-10
                     assert continued_ca_move(space, point) < 1e-8, f"beta={point.beta}"
 
 

@@ -169,6 +169,22 @@ class TestPipelineComposability:
                                  "--need", "uniform", "--weight", "0.5"])
         assert "mixture_complexity_bits" in result.output
 
+    def test_gnid_and_mixture_realign_a_permuted_prior(self, runner, tmp_path):
+        paths = build_container_pipeline(runner, tmp_path, num_betas=2)
+        header, *rows = paths["prior"].read_text().splitlines(keepends=True)
+        permuted = tmp_path / "permuted_prior.csv"
+        permuted.write_text(header + "".join(rows[::-1]))
+        values = {}
+        for prior in (paths["prior"], permuted):
+            for command, key in (("gnid", "gnid"), ("mixture", "mixture_complexity_bits")):
+                out = tmp_path / f"{command}_{prior.stem}.json"
+                run_ok(runner, [command, "--system-a", str(FIXTURES / "naming_a.tsv"),
+                                "--system-b", str(FIXTURES / "naming_b.tsv"),
+                                "--need", str(prior), "--out", str(out)])
+                values.setdefault(command, []).append(json.loads(out.read_text())[key])
+        for same, reordered in values.values():
+            assert reordered == pytest.approx(same, abs=1e-12)
+
     def test_eval_reads_a_frontier_encoder_as_a_matrix(self, runner, tmp_path):
         paths = build_container_pipeline(runner, tmp_path, num_betas=40)
         out = tmp_path / "eval.json"

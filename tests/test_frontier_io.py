@@ -69,6 +69,17 @@ class TestRoundTrip:
             np.testing.assert_array_equal(a.encoder.encoder, b.encoder.encoder)
             assert a.encoder.word_labels == b.encoder.word_labels
 
+    def test_shorter_frontier_removes_stale_encoders(self, computed, tmp_path):
+        # the files a manifest hashes are the files a load reads
+        space, front = computed
+        save_frontier(front, tmp_path)
+        short = dataclasses.replace(front, points=front.points[:8], config=SolverConfig(
+            beta_grid=front.config.beta_grid[:8], max_iterations=6000))
+        save_frontier(short, tmp_path)
+        assert [f.name for f in frontier_files(tmp_path)[2:]] == [
+            f"point_{i:05d}.csv" for i in range(8)]
+        assert len(load_frontier(tmp_path, space=space)) == 8
+
     def test_sub_floor_entries_round_trip_exactly(self, sub_floor, tmp_path):
         space, front = sub_floor
         save_frontier(front, tmp_path / "saved")

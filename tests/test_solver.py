@@ -10,6 +10,8 @@ import regen_golden
 from ibnaming import (
     CategorySelectionError,
     Distribution,
+    Frontier,
+    FrontierPoint,
     MeaningSpace,
     NamingSystem,
     SolverConfig,
@@ -18,7 +20,6 @@ from ibnaming import (
     anneal_frontier,
     complexity,
     default_beta_grid,
-    fixed_point_delta,
     ib_objective,
     select_most_informative_with_k,
     solve_at_beta,
@@ -34,7 +35,8 @@ from ibnaming.solver import (
     _category_count,
     _merge_duplicate_words,
 )
-from helpers import continued_ca_move, identity_system, random_space, random_system
+from helpers import (continued_ca_move, fixed_point_delta, identity_system, random_space,
+                     random_system)
 
 
 def small_config(grid, **kwargs):
@@ -136,7 +138,7 @@ class TestSolveAtBeta:
             space = random_space(rng)
             cases.append((space, random_system(rng, space), float(rng.uniform(0, 8))))
         # two meanings needed less than the prune threshold: pruning their words
-        # lifts F above F(init), so the unpruned retry has to keep the promise
+        # lifts F above F(init), so the step rule has to discard that step
         space = random_space(rng, 6, 6)
         need = Distribution.create([0.25, 0.25, 0.25, 0.25 - 2e-6, 1e-6, 1e-6],
                                    space.meaning_labels)
@@ -146,6 +148,55 @@ class TestSolveAtBeta:
         for space, init, beta in cases:
             point = solve_at_beta(space, beta, init, small_config((max(beta, 0.1),)))
             f_init = ib_objective(init, space, beta)
+            assert point.objective_bits <= f_init + 1e-9
+
+    def test_pruning_never_raises_f(self):
+        # From the 4-word point at beta = 8.881, a plain step at beta = 6.446
+        # prunes a word and raises F. A solve that keeps that step ends below
+        # F(init) but 6.9e-9 bits above the unpruned solve.
+        labels = ("m0", "m1", "m2", "m3")
+        reps = [[0.6491480677990255, 0.05251346859616501, 0.2017208473579063,
+                 0.03339949225141805, 0.06321812399548528],
+                [0.0034868851583459634, 0.15276246770309987, 0.04617313733252473,
+                 0.10342963667784151, 0.6941478731281879],
+                [0.3068434769341026, 0.12499667086383937, 0.001079655144633645,
+                 0.49239034015788696, 0.0746898568995376],
+                [0.1821171137506494, 0.2778630562608522, 0.26988010722526573,
+                 0.029221906005762247, 0.24091781675747057]]
+        need = [0.006833119200062214, 0.18960256483778032, 0.543354673882032,
+                0.2602096420801254]
+        space = MeaningSpace.create(np.array(reps), tuple(f"u{i}" for i in range(5)), labels,
+                                    Distribution.create(need, labels))
+        encoder = [[0.8012881652830774, 1.4552552851178884e-12, 0.0003289290539643698,
+                    0.19838290566150296],
+                   [2.1887480323027596e-09, 0.9966508149506291, 2.424084342952021e-06,
+                    0.003346758776279665],
+                   [2.214231719430137e-07, 1.0921155482664992e-08, 0.9999968058094156,
+                    2.961846256935898e-06],
+                   [8.427824927294005e-05, 5.361542060902765e-05, 2.0452306660579525e-07,
+                    0.9998619018070515]]
+        init = NamingSystem.create(np.array(encoder), ("w0", "w1", "w2", "w3"), labels)
+        beta = 6.4457726644567765
+        pruned = solve_at_beta(space, beta, init)
+        unpruned = solve_at_beta(space, beta, init,
+                                 SolverConfig(beta_grid=(beta,), mass_prune_threshold=0.0))
+        assert pruned.objective_bits <= unpruned.objective_bits + 1e-12
+
+    @pytest.mark.parametrize("threshold", [1e-5, 0.9])
+    def test_every_budget_keeps_the_promise(self, rng, threshold):
+        # some caps fall right after a rejected step; at 0.9 every word is
+        # below the threshold, and each pruned step is discarded
+        space, beta = random_space(rng, 5, 5), 16.0
+        init = identity_system(space)
+        f_init = ib_objective(init, space, beta)
+        full = solve_at_beta(space, beta, init,
+                             small_config((beta,), mass_prune_threshold=threshold))
+        assert full.converged
+        for max_iterations in range(1, full.iterations + 1):
+            cfg = small_config((beta,), max_iterations=max_iterations,
+                               mass_prune_threshold=threshold)
+            point = solve_at_beta(space, beta, init, cfg)
+            assert point.iterations <= max_iterations
             assert point.objective_bits <= f_init + 1e-9
 
     def test_objective_identity_holds(self, rng):
@@ -271,6 +322,37 @@ class TestAnnealFrontier:
         # the sweep alone keeps support-locked words at low beta; the reverse
         # pass must bring those points down to the one-word optimum
         assert front.validate() == []
+
+
+class TestFrontierValidate:
+    @staticmethod
+    def frontier(betas, complexities, accuracies):
+        encoder = NamingSystem.create(np.ones((1, 1)), ("w0",), ("m0",))
+        points = [FrontierPoint(beta=b, complexity_bits=c, accuracy_bits=a,
+                                objective_bits=c - b * a, effective_k=1, encoder=encoder,
+                                converged=True, iterations=1)
+                  for b, c, a in zip(betas, complexities, accuracies)]
+        return Frontier(tuple(points), "fp", small_config(sorted(betas)))
+
+    def test_unsorted_betas(self):
+        front = self.frontier((0.0, 2.0, 1.0), (0.0, 1.0, 2.0), (0.0, 1.0, 2.0))
+        assert front.validate() == ["points are not sorted by strictly increasing beta"]
+
+    def test_complexity_decrease(self):
+        # the second drop, 5e-7 bits, is inside the tolerance
+        front = self.frontier((1.0, 2.0, 3.0), (1.0, 0.5, 0.5 - 5e-7), (0.5, 0.5, 0.5))
+        assert front.validate() == [
+            "complexity decreases from beta=1 to beta=2 (1 -> 0.5)"]
+
+    def test_accuracy_decrease(self):
+        # the second drop, 5e-7 bits, is inside the tolerance
+        front = self.frontier((1.0, 2.0, 3.0), (0.5, 1.0, 1.0), (0.5, 0.25, 0.25 - 5e-7))
+        assert front.validate() == [
+            "accuracy decreases from beta=1 to beta=2 (0.5 -> 0.25)"]
+
+    def test_dip_below_the_chord(self):
+        front = self.frontier((1.0, 2.0, 3.0), (0.0, 1.0, 2.0), (0.0, 0.25, 1.0))
+        assert front.validate() == ["accuracy dips below the chord at beta=2 (0.25 < 0.5)"]
 
 
 def _all_pairs_groups(mhat: np.ndarray) -> list[list[int]]:
