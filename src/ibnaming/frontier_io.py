@@ -12,11 +12,13 @@ Every analysis reads the encoders, so a frontier is always saved with them
 and always loaded against the meaning space it was computed on; loading
 checks the rows against the grid and each encoder against the space and
 its row.
-Floats are written with shortest round-trip repr so reloading reproduces
-the exact bits. Encoders are built by ``NamingSystem.create`` both when the
-solver records them and when they are read, so entries below
-``core.PROB_FLOOR`` are stored as 0.0, the value every reader loads, and a
-loaded frontier saves to the same bytes. Nothing time-dependent is written
+Floats are written in their shortest round-trip repr, with the ``.0`` of
+an integral value dropped (``ingest._fmt``: 0.0 is ``0``, 1.0 is ``1``), so
+reloading reproduces the exact bits, and frontiers written with the ``.0``
+load to the same bits. Encoders are built by ``NamingSystem.create`` both
+when the solver records them and when they are read, so entries below
+``core.PROB_FLOOR`` are stored as ``0``, the value every reader loads, and
+a loaded frontier saves to the same bytes. Nothing time-dependent is written
 here (timestamps belong to run manifests), which keeps reruns
 byte-identical.
 """

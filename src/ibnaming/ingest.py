@@ -351,7 +351,12 @@ def _realign(labels, order, what: str) -> list[int]:
 
 
 def _fmt(x: float) -> str:
-    return repr(float(x))
+    """The shortest round-trip repr of ``x`` without the ``.0`` of an
+    integral value: 0.0 is ``0``, -0.0 is ``-0``, 1.0 is ``1``; 0.5, 1e-300,
+    1e+16, inf and nan are their repr. Every reader parses the short form to
+    the bits it parsed from the repr."""
+    s = repr(float(x))
+    return s[:-2] if s.endswith(".0") else s
 
 
 def _read_table(path):
@@ -509,11 +514,18 @@ def _matrix(table, path: Path, create, notes: list[str] | None):
     return create(values, columns, meanings)
 
 
+# _fmt of the only integral values a probability takes
+_INTEGRAL = {0.0: "0", 1.0: "1"}
+
+
 def _write_matrix_csv(path, values: np.ndarray, columns, meanings) -> None:
-    # repr of a Python float is _fmt; converting a row at a time keeps a
-    # whole space out of one list
+    # each cell is _fmt of its value: 0.0 and 1.0 are looked up, the rest
+    # are repr; a -0.0, which only an array built without create holds,
+    # looks up as 0 and reloads to the +0.0 that create makes of it.
+    # Converting a row at a time keeps a whole space out of one list.
     _write_table(path, ["meaning", *columns],
-                 ([lab, *map(repr, row.tolist())] for lab, row in zip(meanings, values)))
+                 ([lab, *[_INTEGRAL.get(x) or repr(x) for x in row.tolist()]]
+                  for lab, row in zip(meanings, values)))
 
 
 def read_space_csv(path, notes: list[str] | None = None) -> MeaningSpace:

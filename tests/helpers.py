@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+from pathlib import Path
+
 import numpy as np
 
 from ibnaming import (
@@ -12,6 +15,7 @@ from ibnaming import (
     SolverConfig,
     solve_at_beta,
 )
+from ibnaming.frontier_io import ENCODER_DIR, FRONTIER_CSV
 from ibnaming.solver import _Workspace, _log_encoder, _plain_update
 
 
@@ -76,3 +80,20 @@ def fixed_point_delta(space: MeaningSpace, point: FrontierPoint) -> float:
     s0 = _plain_update(ws, _log_encoder(point.encoder.encoder), labels, point.beta, 0.0)
     s1 = _plain_update(ws, s0.g, s0.labels, point.beta, 0.0)
     return abs(s1.objective - s0.objective)
+
+
+def rewrite_float_cells_as_repr(front: Path) -> None:
+    """Rewrite the float cells of a saved frontier's CSVs as ``repr`` writes
+    them, ``0.0`` and ``1.0`` included: the form frontiers were saved in
+    before integral values lost their ``.0``."""
+    def rewrite(path: Path, first: int, stop) -> None:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        for row in rows[1:]:
+            row[first:stop] = [repr(float(x)) for x in row[first:stop]]
+        with open(path, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+
+    rewrite(front / FRONTIER_CSV, 0, 4)  # beta, complexity, accuracy, objective
+    for path in sorted((front / ENCODER_DIR).glob("*.csv")):
+        rewrite(path, 1, None)

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from ibnaming import analysis
 from ibnaming.cli import main
 from ibnaming.ingest import (
+    _fmt,
     naming_system_from_counts,
     read_naming_counts,
     read_similarity_csv,
@@ -68,6 +69,22 @@ class TestPipelineComposability:
         assert meta["num_points"] == 40
         assert (paths["front"] / "manifest.json").exists()
         assert len(list((paths["front"] / "encoders").glob("*.csv"))) == 40
+
+    def test_every_number_written_in_its_shortest_exact_form(self, runner, tmp_path):
+        paths = build_container_pipeline(runner, tmp_path, num_betas=12)
+        tables = [paths["space"], paths["prior"], paths["front"] / "frontier.csv",
+                  *sorted((paths["front"] / "encoders").glob("*.csv"))]
+        cells = []
+        for path in tables:
+            with open(path, newline="") as f:
+                for row in list(csv.reader(f))[1:]:
+                    for cell in row:
+                        try:
+                            cells.append((path.name, cell, _fmt(float(cell))))
+                        except ValueError:  # a label or a converged flag
+                            pass
+        assert "0" in {cell for _, cell, _ in cells}
+        assert [c for c in cells if c[1] != c[2]] == []
 
     def test_make_space_exclude_diagonal(self, runner, tmp_path):
         similarity = FIXTURES / "similarity.csv"

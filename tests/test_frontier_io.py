@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ibnaming import (
 from ibnaming.core import PROB_FLOOR
 from ibnaming.frontier_io import _COLUMNS, frontier_files
 from ibnaming.ingest import read_space_csv, write_space_csv
-from helpers import random_space, random_system
+from helpers import random_space, random_system, rewrite_float_cells_as_repr
 
 
 @pytest.fixture
@@ -94,6 +95,27 @@ class TestRoundTrip:
         assert [f.name for f in saved] == [f.name for f in resaved]
         for a, b in zip(saved, resaved):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+    def test_frontier_saved_with_repr_cells_loads_the_same(self, computed, tmp_path):
+        # frontiers saved before 0.0 and 1.0 were written as 0 and 1 load to
+        # the same bits, and save to the compact bytes
+        space, front = computed
+        compact, old, resaved = tmp_path / "compact", tmp_path / "old", tmp_path / "resaved"
+        save_frontier(front, compact)
+        shutil.copytree(compact, old)
+        rewrite_float_cells_as_repr(old)
+        assert [f.read_bytes() for f in frontier_files(old)] != [
+            f.read_bytes() for f in frontier_files(compact)]
+        loaded = load_frontier(old, space)
+        for a, b in zip(load_frontier(compact, space).points, loaded.points, strict=True):
+            assert (np.array([a.beta, a.complexity_bits, a.accuracy_bits, a.objective_bits])
+                    .tobytes() == np.array([b.beta, b.complexity_bits, b.accuracy_bits,
+                                            b.objective_bits]).tobytes())
+            assert (a.effective_k, a.iterations) == (b.effective_k, b.iterations)
+            assert a.encoder.encoder.tobytes() == b.encoder.encoder.tobytes()
+        save_frontier(loaded, resaved)
+        assert [f.read_bytes() for f in frontier_files(resaved)] == [
+            f.read_bytes() for f in frontier_files(compact)]
 
     def test_word_mass_recomputed_with_space(self, computed, tmp_path):
         space, front = computed

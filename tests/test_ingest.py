@@ -8,6 +8,7 @@ from ibnaming import (
     Distribution,
     FeatureTable,
     IterativeScalingError,
+    MeaningSpace,
     NamingCounts,
     NamingSystem,
     SimilarityMatrix,
@@ -408,15 +409,45 @@ class TestFileIO:
             read(tmp_path)
 
     def test_matrix_cells_written_as_float_repr(self, tmp_path):
-        enc = np.array([[0.1, 0.2, 0.7], [1 / 3, 2 / 3, 0.0], [1e-300, 0.5, 0.5 - 1e-300]])
-        sys = NamingSystem(enc, ("a", "b", "c"), ("m0", "m1", "m2"))
+        enc = np.array([[0.1, 0.2, 0.7], [1 / 3, 2 / 3, 0.0], [1e-300, 0.5, 0.5 - 1e-300],
+                        [0.0, 1.0, 0.0]])
+        sys = NamingSystem(enc, ("a", "b", "c"), ("m0", "m1", "m2", "m3"))
         path = tmp_path / "enc.csv"
         write_encoder_csv(sys, path)
-        assert path.read_text() == "".join(
-            ["meaning,a,b,c\n"] + [f"{m},{','.join(repr(float(x)) for x in row)}\n"
-                                    for m, row in zip(sys.meaning_labels, enc)])
+        assert path.read_text() == (
+            "meaning,a,b,c\nm0,0.1,0.2,0.7\nm1,0.3333333333333333,0.6666666666666666,0\n"
+            "m2,1e-300,0.5,0.5\nm3,0,1,0\n")
         assert read_encoder_csv(path).encoder.tobytes() == NamingSystem.create(
             enc, sys.word_labels, sys.meaning_labels).encoder.tobytes()
+
+    @pytest.mark.parametrize("x, text", [
+        (0.0, "0"), (-0.0, "-0"), (1.0, "1"), (1024.0, "1024"), (0.5, "0.5"),
+        (1 / 3, "0.3333333333333333"), (1e-300, "1e-300"), (1e16, "1e+16"),
+        (float("inf"), "inf"), (float("nan"), "nan")])
+    def test_fmt_drops_only_the_dot_zero_of_finite_integral_values(self, x, text):
+        assert ingest._fmt(x) == text
+        # the same bits back, sign of zero included
+        assert np.float64(float(text)).tobytes() == np.float64(x).tobytes()
+        # a finite integral value loses the .0 of its repr; 1e+16 has none
+        integral = np.isfinite(x) and x == int(x)
+        assert repr(x) == (text + ".0" if integral and "e" not in text else text)
+
+    @pytest.mark.parametrize("write, read", [
+        (lambda m, path: write_encoder_csv(NamingSystem(m, ("a", "b"), ("m0", "m1")), path),
+         lambda path: read_encoder_csv(path).encoder),
+        (lambda m, path: write_space_csv(MeaningSpace(m, ("a", "b"), ("m0", "m1")), path),
+         lambda path: read_space_csv(path).representations),
+    ], ids=["encoder", "space"])
+    def test_negative_zero_cell_reloads_as_before(self, tmp_path, write, read):
+        # only a matrix built without create holds -0.0; it is written as 0,
+        # and reloads to the +0.0 that create made of the -0.0 text
+        path = tmp_path / "m.csv"
+        write(np.array([[-0.0, 1.0], [0.5, 0.5]]), path)
+        assert path.read_text().splitlines()[1] == "m0,0,1"
+        old = tmp_path / "old.csv"
+        old.write_text("meaning,a,b\nm0,-0.0,1.0\nm1,0.5,0.5\n")
+        assert read(path).tobytes() == read(old).tobytes()
+        assert read(path)[0, 0].tobytes() == np.float64(0.0).tobytes()
 
     def test_renormalization_noted(self, tmp_path):
         # the second row is off by 5e-13: below 1e-12, but core still divides it out
