@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 data or validation error, 2 usage error.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import time
@@ -53,16 +52,19 @@ _IN_FILE = click.Path(exists=True, dir_okay=False)
 _NEED_HELP = "'uniform' or a prior CSV."
 
 
-def _handled(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Main(click.Group):
+    """The command group, and the one error boundary of every command: a
+    data, validation or file error becomes one ``Error:`` line and exit 1."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except IBNamingError as e:
             raise click.ClickException(str(e))
         except OSError as e:
+            if e.filename is None:  # a failed fork or pipe names no file
+                raise click.ClickException(e.strerror or str(e))
             raise click.ClickException(f"cannot read or write {e.filename}: {e.strerror}")
-    return wrapper
 
 
 def _sha256(path: Path) -> str:
@@ -166,7 +168,7 @@ def _two_system_inputs(run: _Run, system_a, system_b, need):
     return sys_a, sys_b, need
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(__version__)
 @click.option("--config", "config_path", type=_IN_FILE, default=None,
               help="Flat JSON key-value file mirroring flags; flags win.")
@@ -202,7 +204,6 @@ def main(ctx, config_path):
               help="Output space CSV.")
 @click.option("--need-out", type=click.Path(dir_okay=False), default=None,
               help="With --features: write the familiarity-based need here.")
-@_handled
 def make_space(similarity, gamma, exclude_diagonal, features, familiarity, out, need_out):
     """Build a meaning-space CSV from similarity or feature data."""
     if (similarity is None) == (features is None):
@@ -233,7 +234,6 @@ def make_space(similarity, gamma, exclude_diagonal, features, familiarity, out, 
 @click.option("--space", type=_IN_FILE, default=None,
               help="Emit the prior in this space's meaning order.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@_handled
 def make_prior(naming, epsilon, space, out):
     """Fit the least-informative need prior from naming counts."""
     run = _Run()
@@ -265,7 +265,6 @@ def make_prior(naming, epsilon, space, out):
                    "move under further updates at each beta.")
 @click.option("--max-iterations", type=int, default=30000, show_default=True)
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@_handled
 def frontier(space, need, beta_max, num_betas, tol, max_iterations, out):
     """Compute the efficiency frontier over a beta grid."""
     config = SolverConfig(beta_grid=default_beta_grid(beta_max, num_betas),
@@ -306,7 +305,6 @@ def _pair_options(fn):
 @_fit_options
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the efficiency report JSON here.")
-@_handled
 def eval_cmd(system, space, need, frontier, out):
     """Fit a naming system against a frontier: beta_l, inefficiency, gNID."""
     run = _Run()
@@ -325,7 +323,6 @@ def eval_cmd(system, space, need, frontier, out):
 @click.option("--seed", type=int, required=True,
               help="Base seed; each sample draws from its own substream.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_handled
 def baseline(system, space, need, frontier, samples, seed, out):
     """Permutation baseline: fit meaning-shuffled variants of a system."""
     run = _Run()
@@ -341,7 +338,6 @@ def baseline(system, space, need, frontier, samples, seed, out):
 @main.command("gnid")
 @_pair_options
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_handled
 def gnid_cmd(system_a, system_b, need, out):
     """Dissimilarity between two naming systems over one meaning set."""
     run = _Run()
@@ -355,7 +351,6 @@ def gnid_cmd(system_a, system_b, need, out):
 @click.option("--weight", type=float, default=0.5, show_default=True,
               help="Probability of speaking system A.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_handled
 def mixture(system_a, system_b, need, weight, out):
     """Complexity of the joint two-language encoder (disjoint word alphabets)."""
     run = _Run()
@@ -371,9 +366,7 @@ def mixture(system_a, system_b, need, weight, out):
               help="Comma-separated effective category counts, e.g. 1,2,3,4.")
 @click.option("--top-n", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--out-json", type=click.Path(dir_okay=False), default=None)
-@click.option("--out-text", type=click.Path(dir_okay=False), default=None)
-@_handled
-def hierarchy(frontier, space, need, k, top_n, out_json, out_text):
+def hierarchy(frontier, space, need, k, top_n, out_json):
     """Layered category report: most informative system per requested k."""
     try:
         k_list = [int(x) for x in k.split(",") if x.strip()]
@@ -386,12 +379,7 @@ def hierarchy(frontier, space, need, k, top_n, out_json, out_text):
     front = _load_frontier(run, frontier, space)
     report = hierarchy_report(front, k_list, space, top_n=top_n)
     click.echo(report.to_text())
-    if out_json:
-        _write_json(run.add_output(out_json), report.to_json_dict())
-    if out_text:
-        run.add_output(out_text).write_text(report.to_text(), encoding="utf-8")
-    if out_json or out_text:
-        run.write_manifest_beside(out_json or out_text)
+    run.write_json(out_json, report.to_json_dict())
 
 
 if __name__ == "__main__":

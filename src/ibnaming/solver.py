@@ -240,7 +240,6 @@ def _check_space(fingerprint: str, space: MeaningSpace) -> None:
 class _SolveState:
     q: np.ndarray
     labels: np.ndarray
-    qw: np.ndarray
     complexity: float
     accuracy: float
     objective: float
@@ -319,8 +318,8 @@ class _Step:
     pruned: bool
 
     def state(self, iterations: int, converged: bool) -> _SolveState:
-        return _SolveState(self.q, self.labels, self.qw, self.complexity, self.accuracy,
-                           self.objective, iterations, converged)
+        return _SolveState(self.q, self.labels, self.complexity, self.accuracy, self.objective,
+                           iterations, converged)
 
 
 def _plain_update(ws: _Workspace, x: np.ndarray, labels: np.ndarray, beta: float,
@@ -585,13 +584,12 @@ def _merge_duplicate_words(s: _Step):
         groups.setdefault(r, []).append(i)
     order = sorted(groups)  # keep original column order via lowest member index
     cols = []
-    labels = []
+    reps = []
     for r in order:
         members = groups[r]
         cols.append(s.q[:, members].sum(axis=1))
-        rep = members[int(np.argmax(s.qw[members]))]
-        labels.append(s.labels[rep])
-    return np.stack(cols, axis=1), np.asarray(labels)
+        reps.append(members[int(np.argmax(s.qw[members]))])
+    return np.stack(cols, axis=1), s.labels[reps]
 
 
 def _category_count(word_mass: np.ndarray) -> int:
@@ -600,21 +598,20 @@ def _category_count(word_mass: np.ndarray) -> int:
     return int(np.sum(word_mass > DEFAULT_CATEGORY_MASS_THRESHOLD))
 
 
-def _make_point(state: _SolveState, beta: float, word_names: tuple[str, ...],
+def _make_point(state: _SolveState, ws: _Workspace, beta: float,
                 meaning_labels: tuple[str, ...]) -> FrontierPoint:
     """The recorded point of a solve. Its encoder is built by
     ``NamingSystem.create``, as every reader builds one, so entries below
-    PROB_FLOOR are exact zeros in memory, on disk and when loaded back; the
-    statistics and the word masses it counts categories on are the solver's
-    own."""
-    labels = tuple(word_names[i] for i in state.labels)
-    encoder = NamingSystem.create(state.q, labels, meaning_labels)
+    PROB_FLOOR are exact zeros in memory, on disk and when loaded back.
+    Categories are counted on the word masses of that encoder, as
+    ``load_frontier`` counts them; C, A and F are the solver's own."""
+    encoder = NamingSystem.create(state.q, state.labels.tolist(), meaning_labels)
     return FrontierPoint(
         beta=float(beta),
         complexity_bits=state.complexity,
         accuracy_bits=state.accuracy,
         objective_bits=state.objective,
-        effective_k=_category_count(state.qw),
+        effective_k=_category_count(ws.p @ encoder.encoder),
         encoder=encoder,
         converged=state.converged,
         iterations=state.iterations,
@@ -636,8 +633,10 @@ def solve_at_beta(space: MeaningSpace, beta: float, init: NamingSystem,
     if config is None:
         config = SolverConfig(beta_grid=(float(beta),))
     ws = _Workspace.for_space(space)
-    state = _fixed_point_loop(ws, init.encoder, np.arange(init.num_words), beta, config)
-    return _make_point(state, beta, init.word_labels, space.meaning_labels)
+    # an object array keeps every name as given; a str array drops trailing NULs
+    labels = np.array(init.word_labels, dtype=object)
+    state = _fixed_point_loop(ws, init.encoder, labels, beta, config)
+    return _make_point(state, ws, beta, space.meaning_labels)
 
 
 def anneal_frontier(space: MeaningSpace, config: SolverConfig) -> Frontier:
@@ -652,33 +651,32 @@ def anneal_frontier(space: MeaningSpace, config: SolverConfig) -> Frontier:
     cluster-merge transitions late, and on sparse spaces it can keep words
     whose supports the update cannot merge, a metastable branch with F far
     above the optimum. So one reverse pass follows, from low to high beta:
-    it re-solves every point from the neighbor it has just passed and keeps
+    it re-solves every point from the point it has just finalised and keeps
     the candidate when its objective is lower, so each point is the better
-    of the two branches that reach it.
+    of the two branches that reach it. Each point is built as soon as the
+    reverse pass has decided it; at most one other state is then alive, the
+    seed of the next candidate, so no encoder is held twice.
     """
     ws = _Workspace.for_space(space)
     n_m = space.num_meanings
     grid = config.beta_grid
-    word_names = tuple(f"w{i:03d}" for i in range(n_m))
 
-    q, labels = np.eye(n_m), np.arange(n_m)
+    q, labels = np.eye(n_m), np.array([f"w{i:03d}" for i in range(n_m)])
     states: list[_SolveState | None] = [None] * len(grid)
     for gi in range(len(grid) - 1, -1, -1):
         states[gi] = _fixed_point_loop(ws, q, labels, grid[gi], config)
         q, labels = states[gi].q, states[gi].labels
 
-    for gi in range(1, len(grid)):  # the reverse pass
-        src = states[gi - 1]
-        cand = _fixed_point_loop(ws, src.q, src.labels, grid[gi], config)
-        if cand.objective < states[gi].objective - 1e-15:
-            states[gi] = cand
-
-    # each state goes once its point is built, so no encoder is held twice
-    q = labels = src = cand = None
     points = []
-    for gi in range(len(grid)):
-        points.append(_make_point(states[gi], grid[gi], word_names, space.meaning_labels))
-        states[gi] = None
+    for gi, beta in enumerate(grid):  # the reverse pass
+        state, states[gi] = states[gi], None
+        if gi:
+            cand = _fixed_point_loop(ws, seed.q, seed.labels, beta, config)
+            if cand.objective < state.objective - 1e-15:
+                state = cand
+            seed = cand = None
+        points.append(_make_point(state, ws, beta, space.meaning_labels))
+        seed = state
     return Frontier(tuple(points), space.fingerprint, config)
 
 

@@ -6,11 +6,12 @@ Run from the repository root after regen_fixtures.py:
     python tests/regen_golden.py --compare  # report what would change, write nothing
 
 The comparison lists every value that differs from the committed golden by
-more than the golden tests' tolerance (GOLDEN_ATOL). For a frontier
-complexity or accuracy it also prints the tight-tolerance limit, reached by
-iterating on from the fresh point at convergence_tol 1e-16, and says which
-of the old and new values is closer to it. Each changed effective_k and
-each moved hierarchy layer comes with the figures that explain it.
+more than the golden tests' tolerance (GOLDEN_ATOL), and exits with status 1
+if there is any. For a frontier complexity or accuracy it also prints the
+tight-tolerance limit, reached by iterating on from the fresh point at
+convergence_tol 1e-16, and says which of the old and new values is closer to
+it. Each changed effective_k and each moved hierarchy layer comes with the
+figures that explain it.
 
 The frozen values come from two sources: the library pipeline itself (for
 determinism checks at loose float tolerance) and the brute-force oracle (for
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -194,8 +196,9 @@ def _smallest_gap(space: ib.MeaningSpace, point: ib.FrontierPoint) -> float:
     return float(gaps[np.triu_indices(len(rows), 1)].min())
 
 
-def compare(name: str, payload: dict, space: ib.MeaningSpace, front: ib.Frontier) -> None:
-    """Print how payload differs from the committed golden file, and why."""
+def compare(name: str, payload: dict, space: ib.MeaningSpace, front: ib.Frontier) -> int:
+    """Print how payload differs from the committed golden file, and why;
+    returns the number of values that differ beyond GOLDEN_ATOL."""
     old = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
     print(f"== {name}")
     fo, fn = old["frontier"], payload["frontier"]
@@ -242,12 +245,15 @@ def compare(name: str, payload: dict, space: ib.MeaningSpace, front: ib.Frontier
                   f"(A={ln['accuracy_bits']:.7f}); at the new beta the golden counted "
                   f"k={fo['effective_k'][i]}, the new run counts k={fn['effective_k'][i]}")
     shown = (".frontier.complexity_bits[", ".frontier.accuracy_bits[", ".frontier.effective_k[")
-    for path, a, b in _changed(old, payload):
+    changed = list(_changed(old, payload))
+    for path, a, b in changed:
         if not path.startswith(shown):
             print(f"  {path}: golden {a!r} new {b!r}")
+    print(f"  {len(changed)} changed")
+    return len(changed)
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", action="store_true",
                         help="report changes against the committed goldens; write nothing")
@@ -258,14 +264,16 @@ def main(argv=None) -> None:
     runs = (("container.json", container_payload(c_space, prior, systems, c_front),
              c_space, c_front),
             ("animal.json", animal_payload(a_space, a_front), a_space, a_front))
+    changed = 0
     for name, payload, space, front in runs:
         if args.compare:
-            compare(name, payload, space, front)
+            changed += compare(name, payload, space, front)
             continue
         (GOLDEN / name).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
                                    encoding="utf-8")
         print(f"wrote {GOLDEN / name}")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -419,3 +419,17 @@ class TestCriterion7Golden:
             assert fresh["oracle"]["worst_margin"] >= -1e-6
             ks = [layer["k"] for layer in fresh["hierarchy"]["layers"]]
             assert ks == [1, 2, 3, 4]
+
+
+def test_golden_compare_counts_every_change(tmp_path, monkeypatch, capsys):
+    # regen_golden.py --compare exits 1 when this count is not 0
+    golden = {"frontier": {"betas": [1.0], "complexity_bits": [0.5], "accuracy_bits": [0.25],
+                           "effective_k": [2]},
+              "space_mutual_information": 1.0, "labels": ["a"]}
+    (tmp_path / "x.json").write_text(json.dumps(golden))
+    monkeypatch.setattr(regen_golden, "GOLDEN", tmp_path)
+    assert regen_golden.compare("x.json", golden, None, None) == 0
+    moved = {**golden, "space_mutual_information": 1.0 + 2 * regen_golden.GOLDEN_ATOL,
+             "labels": ["b"]}
+    assert regen_golden.compare("x.json", moved, None, None) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == "  2 changed"

@@ -10,6 +10,7 @@ from ibnaming import (
     Distribution,
     FingerprintMismatchError,
     Frontier,
+    FrontierPoint,
     IBNamingError,
     MeaningSpace,
     NamingSystem,
@@ -110,6 +111,18 @@ class TestFitBeta:
         assert again.inefficiency_bits == eps
         assert again.matched_index == report.matched_index
 
+    def test_frontier_without_positive_beta_rejected(self, rng):
+        space = random_space(rng, 3, 3)
+        front = make_frontier(space, beta_max=16, num=20)
+        sys = random_system(rng, space, 2)
+        empty = dataclasses.replace(front, points=())
+        with pytest.raises(ValidationError, match="frontier has no points$"):
+            fit_beta(sys, space, empty)
+        beta_zero = dataclasses.replace(front, points=front.points[:1])
+        assert beta_zero.points[0].beta == 0
+        with pytest.raises(ValidationError, match="frontier has no points with beta > 0"):
+            fit_beta(sys, space, beta_zero)
+
     def test_json_dict_is_serializable(self, rng):
         import json
 
@@ -189,6 +202,13 @@ class TestGnid:
         b = NamingSystem.create(np.eye(2), ("w0", "w1"), ("m1", "m0"))
         with pytest.raises(ValidationError):
             gnid(a, b, Distribution.create([0.5, 0.5], ("m0", "m1")))
+
+    def test_need_of_wrong_length(self):
+        a = NamingSystem.create(np.eye(2), ("w0", "w1"), ("m0", "m1"))
+        need = Distribution.uniform(("m0", "m1", "m2"))
+        with pytest.raises(ValidationError,
+                           match="need has 3 entries, systems have 2 meanings"):
+            gnid(a, a, need)
 
 
 class TestPermutationBaseline:
@@ -412,6 +432,12 @@ class TestMixtureComplexity:
         with pytest.raises(ValidationError):
             mixture_complexity(a, a, space.need, 1.5)
 
+    def test_meaning_set_mismatch(self):
+        a = NamingSystem.create(np.eye(2), ("w0", "w1"), ("m0", "m1"))
+        b = NamingSystem.create(np.eye(2), ("w0", "w1"), ("m1", "m0"))
+        with pytest.raises(ValidationError, match="different meaning sets"):
+            mixture_complexity(a, b, Distribution.uniform(("m0", "m1")))
+
 
 class TestCategoryProfiles:
     def test_identity_profiles(self, rng):
@@ -437,6 +463,15 @@ class TestCategoryProfiles:
             probs = [x for _, x in prof.top_meanings]
             assert probs == sorted(probs, reverse=True)
             assert all(p <= 1 + 1e-12 for p in probs)
+
+    def test_light_words_have_no_profile(self):
+        # "light" has mass 0.5 * 2e-5, DEFAULT_CATEGORY_MASS_THRESHOLD itself
+        labels = ("m0", "m1")
+        space = MeaningSpace.create(np.array([[0.8, 0.2], [0.3, 0.7]]), ("u0", "u1"), labels,
+                                    Distribution.uniform(labels))
+        enc = NamingSystem.create([[1 - 2e-5, 2e-5], [1.0, 0.0]], ("heavy", "light"), labels)
+        point = FrontierPoint(0.0, 0.0, 0.0, 0.0, 1, enc, True, 1)
+        assert [p.word_label for p in category_profiles(point, space)] == ["heavy"]
 
     @pytest.mark.parametrize("top_n", [0, -1])
     def test_top_n_below_one_rejected(self, rng, top_n):

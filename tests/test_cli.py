@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import shutil
@@ -6,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import click
 from click.testing import CliRunner
 
-from ibnaming import analysis
+from ibnaming import IBNamingError, analysis
 from ibnaming.cli import main
 from ibnaming.ingest import (
     _fmt,
@@ -471,10 +473,72 @@ class TestExitCodes:
         assert lines[0] == ("Error: baseline worker for samples 2 to 3 failed: "
                             "MemoryError: injected")
 
+    def test_failed_fork_names_no_file(self, runner, tmp_path, monkeypatch):
+        # the OSError of a failed fork carries no filename
+        paths = build_container_pipeline(runner, tmp_path, num_betas=12)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+        result = runner.invoke(main, ["baseline", "--system", str(FIXTURES / "naming_a.tsv"),
+                                      "--space", str(paths["space"]),
+                                      "--need", str(paths["prior"]),
+                                      "--frontier", str(paths["front"]),
+                                      "--samples", "5000", "--seed", "1"])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip().splitlines() == [f"Error: {os.strerror(errno.EAGAIN)}"]
+
+    @pytest.mark.parametrize("error, line", [
+        (IBNamingError("bad data"), "Error: bad data"),
+        (OSError(errno.EACCES, "Permission denied", "x.csv"),
+         "Error: cannot read or write x.csv: Permission denied"),
+    ], ids=["data", "file"])
+    def test_every_command_has_one_error_line(self, runner, monkeypatch, error, line):
+        # a command added to the group is covered without any decorator
+        @click.command("fail")
+        def fail():
+            raise error
+
+        monkeypatch.setitem(main.commands, "fail", fail)
+        result = runner.invoke(main, ["fail"])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.strip().splitlines() == [line]
+
+    @pytest.mark.parametrize("args, message", [
+        (["--similarity", "similarity.csv", "--features", "features.csv"],
+         "pass exactly one of --similarity or --features"),
+        ([], "pass exactly one of --similarity or --features"),
+        (["--features", "features.csv"], "--features requires --familiarity"),
+    ], ids=["both-sources", "no-source", "no-familiarity"])
+    def test_make_space_usage_exits_two(self, runner, tmp_path, args, message):
+        args = [str(FIXTURES / a) if a.endswith(".csv") else a for a in args]
+        out = tmp_path / "space.csv"
+        result = runner.invoke(main, ["make-space", *args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"Error: {message}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k, message", [
+        ("1,two", "--k must be a comma-separated integer list, got '1,two'"),
+        (" , ", "--k lists no values"),
+    ], ids=["not-integers", "empty"])
+    def test_bad_k_exits_two(self, runner, k, message):
+        # every path exists, so only --k can fail
+        result = runner.invoke(main, ["hierarchy", "--frontier", str(FIXTURES),
+                                      "--space", str(FIXTURES / "similarity.csv"),
+                                      "--need", "uniform", "--k", k])
+        assert result.exit_code == 2, result.output
+        assert f"Error: {message}" in result.output
+
     @pytest.mark.parametrize("args", [
         ["frontier", "--prune-threshold", "0"],
         ["baseline", "--include-identity"],
         ["hierarchy", "--threshold", "1e-5"],
+        ["hierarchy", "--out-text", "h.txt"],
         *([command, "--system-format", "counts"]
           for command in ("eval", "baseline", "gnid", "mixture")),
     ], ids=" ".join)
@@ -683,6 +747,14 @@ class TestConfigFile:
         assert len(errors) == 1, result.output
         assert errors[0].startswith(f"Error: config file {cfg} is not UTF-8 JSON: ")
 
+    def test_config_that_is_not_an_object_exits_two(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        result = runner.invoke(main, ["--config", str(cfg), "make-space",
+                                      "--out", str(tmp_path / "s.csv")])
+        assert result.exit_code == 2, result.output
+        assert "Error: config file must hold a flat JSON object" in result.output
+
     def test_key_of_no_command_exits_two_naming_it(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gama": 0.5, "num-betas": 8, "bogus_key": 1}))
@@ -737,5 +809,5 @@ class TestManifests:
         manifest = json.loads(Path(hout + ".manifest.json").read_text())
         assert manifest["config"] == {
             "frontier": fit["frontier"], "space": fit["space"], "need": fit["need"],
-            "k": "1", "top_n": 5, "out_json": hout, "out_text": None,
+            "k": "1", "top_n": 5, "out_json": hout,
         }

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from ibnaming import (
+    DEFAULT_CATEGORY_MASS_THRESHOLD,
+    Distribution,
+    Frontier,
+    MeaningSpace,
+    NamingSystem,
     SolverConfig,
     ValidationError,
+    accuracy,
     anneal_frontier,
+    complexity,
     default_beta_grid,
     fit_beta,
     load_frontier,
@@ -135,6 +142,31 @@ class TestRoundTrip:
         assert a.inefficiency_bits == b.inefficiency_bits
         assert a.gnid == pytest.approx(b.gnid, abs=1e-12)
 
+    def test_missing_csv_rejected(self, computed, tmp_path):
+        space, front = computed
+        save_frontier(front, tmp_path)
+        (tmp_path / "frontier.csv").unlink()
+        with pytest.raises(ValidationError, match="frontier.csv: frontier CSV not found"):
+            load_frontier(tmp_path, space)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: ["beta,complexity_bits\n", *lines[1:]],
+         "frontier.csv: expected the header beta,complexity_bits,"),
+        (lambda lines: [lines[0], lines[1].replace(",true,", ",yes,"), *lines[2:]],
+         "frontier.csv, line 2: malformed row"),
+        (lambda lines: [*lines, lines[-1]],
+         "frontier.csv, line 22: row beyond the 20 betas of the grid"),
+    ], ids=["header", "converged-cell", "extra-row"])
+    def test_malformed_csv_rejected(self, computed, tmp_path, edit, message):
+        space, front = computed
+        save_frontier(front, tmp_path)
+        csv_path = tmp_path / "frontier.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        assert ",true," in lines[1]
+        csv_path.write_text("".join(edit(lines)))
+        with pytest.raises(ValidationError, match=message):
+            load_frontier(tmp_path, space)
+
     def test_missing_metadata_rejected(self, computed, tmp_path):
         space, front = computed
         save_frontier(front, tmp_path)
@@ -175,6 +207,25 @@ class TestRoundTrip:
         meta_path.write_text(json.dumps(meta))
         loaded = load_frontier(tmp_path, space)
         assert [p.beta for p in loaded.points] == [p.beta for p in front.points]
+
+
+def test_word_at_the_category_threshold_loads_back(tmp_path):
+    # the solver's q(w) of w000 is 0.5 * (2e-5 + 9e-16) > 1e-5, but the
+    # written encoder holds 0 for the 9e-16 below PROB_FLOOR; the point must
+    # count the word as load_frontier counts it on that encoder
+    labels = ("m0", "m1")
+    space = MeaningSpace.create(np.array([[0.8, 0.2], [0.3, 0.7]]), ("u0", "u1"), labels,
+                                Distribution.uniform(labels))
+    q = np.array([[2e-5, 1 - 2e-5], [9e-16, 1 - 9e-16]])
+    assert space.need.mass @ q[:, 0] > DEFAULT_CATEGORY_MASS_THRESHOLD
+    encoder = NamingSystem.create(q, ("w000", "w001"), labels)
+    c, a = complexity(encoder, space.need), accuracy(encoder, space)
+    state = solver._SolveState(q, np.array(["w000", "w001"]), c, a, c - a, 1, True)
+    point = solver._make_point(state, solver._Workspace.for_space(space), 1.0, labels)
+    assert point.effective_k == 1
+    save_frontier(Frontier((point,), space.fingerprint, SolverConfig(beta_grid=(1.0,))),
+                  tmp_path)
+    assert load_frontier(tmp_path, space).points[0].effective_k == 1
 
 
 class TestSpaceFingerprintStability:

@@ -67,6 +67,9 @@ class TestBetaGrid:
         with pytest.raises(ValidationError, match="finite"):
             default_beta_grid(beta_max, num_betas)
 
+    def test_one_beta_is_beta_max(self):
+        assert default_beta_grid(0.05, 1) == (0.05,)
+
 
 class TestSolverConfig:
     def test_grid_must_increase(self):
@@ -89,6 +92,17 @@ class TestSolverConfig:
         with pytest.raises(ValidationError, match="convergence_tol"):
             SolverConfig(beta_grid=(1.0,), convergence_tol=tol)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"beta_grid": ()}, "beta_grid is empty"),
+        ({"beta_grid": (1.0,), "max_iterations": 0}, "max_iterations must be >= 1, got 0"),
+        ({"beta_grid": (1.0,), "mass_prune_threshold": -1e-5},
+         "mass_prune_threshold must be >= 0"),
+    ], ids=["empty-grid", "no-iterations", "negative-threshold"])
+    def test_field_messages(self, kwargs, message):
+        with pytest.raises(ValidationError) as caught:
+            SolverConfig(**kwargs)
+        assert caught.value.errors == [message]
+
     def test_round_trips_through_dict(self):
         cfg = SolverConfig(beta_grid=(0.0, 1.0, 2.0), convergence_tol=1e-8,
                            max_iterations=500, mass_prune_threshold=1e-6)
@@ -107,6 +121,13 @@ class TestSolveAtBeta:
         space = random_space(rng, 3, 3)
         with pytest.raises(ValidationError, match="beta must be finite and >= 0"):
             solve_at_beta(space, beta, identity_system(space))
+
+    def test_word_names_kept_as_given(self, rng):
+        # numpy's str arrays would drop the trailing NUL and merge the names
+        space = random_space(rng, 3, 3)
+        init = NamingSystem.create(np.eye(3), ("w\x00", "w", " w "), space.meaning_labels)
+        point = solve_at_beta(space, 1024.0, init)
+        assert point.encoder.word_labels == init.word_labels
 
     def test_beta_zero_collapses(self, rng):
         space = random_space(rng, 4, 5)
@@ -560,6 +581,11 @@ class TestSelectMostInformative:
         space, front = self.make_frontier(rng)
         point = select_most_informative_with_k(front, 1)
         assert point.complexity_bits <= 1e-9
+
+    def test_empty_frontier_rejected(self):
+        empty = Frontier((), "fingerprint", SolverConfig(beta_grid=(1.0,)))
+        with pytest.raises(ValidationError, match="frontier has no points"):
+            select_most_informative_with_k(empty, 1)
 
     def test_unreachable_k_lists_available(self, rng):
         space, front = self.make_frontier(rng)
