@@ -362,10 +362,11 @@ def _fmt(x: float) -> str:
 def _read_table(path):
     """Yield the header of a UTF-8 CSV (tab-separated if .tsv), then each
     non-blank data row, as wide as the header, with the physical line it
-    ends on; a row is read only when it is asked for. ``_parse`` closes the
-    file however its parse ends."""
+    ends on; a row is read only when it is asked for. A leading byte-order
+    mark, as spreadsheets write one, is not part of the header. ``_parse``
+    closes the file however its parse ends."""
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.reader(f, delimiter="\t" if path.suffix.lower() == ".tsv" else ",")
             rows = filter(None, reader)  # blank lines read as []
             header = next(rows, None)

@@ -1,6 +1,11 @@
 """Frontier solver: self-consistent encoder updates per beta, annealed
 across a beta grid.
 
+There is one solve: it starts from an encoder and returns the point a
+frontier records, with the encoder the tool writes. ``solve_at_beta`` is
+that solve and ``anneal_frontier`` chains it, each beta started from a
+recorded encoder, so public solves reproduce a frontier.
+
 The plain update at a fixed beta alternates three assignments:
 
     q(w)    <- sum_m p(m) q(w|m)
@@ -146,7 +151,8 @@ class SolverConfig:
 
 
 def default_beta_grid(beta_max: float, num_betas: int) -> tuple[float, ...]:
-    """Beta 0 plus (num_betas - 1) log-spaced values from BETA_MIN to beta_max."""
+    """Beta 0 plus (num_betas - 1) log-spaced values from BETA_MIN to beta_max;
+    every grid ends at beta_max, so two betas are 0 and beta_max."""
     if num_betas < 1:
         raise ValidationError([f"num_betas must be >= 1, got {num_betas}"])
     if not 0 < beta_max < np.inf:
@@ -155,7 +161,8 @@ def default_beta_grid(beta_max: float, num_betas: int) -> tuple[float, ...]:
         return (float(beta_max),)
     if beta_max <= BETA_MIN:
         raise ValidationError([f"beta_max must exceed {BETA_MIN}"])
-    tail = np.geomspace(BETA_MIN, beta_max, num_betas - 1)
+    # geomspace of one value gives its start, not beta_max
+    tail = np.geomspace(BETA_MIN, beta_max, num_betas - 1) if num_betas > 2 else [beta_max]
     return (0.0,) + tuple(float(b) for b in tail)
 
 
@@ -236,17 +243,6 @@ def _check_space(fingerprint: str, space: MeaningSpace) -> None:
 # array-level machinery
 
 
-@dataclass
-class _SolveState:
-    q: np.ndarray
-    labels: np.ndarray
-    complexity: float
-    accuracy: float
-    objective: float
-    iterations: int
-    converged: bool
-
-
 def _normalized(logits: np.ndarray) -> np.ndarray:
     """Row-normalise log weights into a log-encoder, in place.
 
@@ -317,9 +313,24 @@ class _Step:
     round_off: float  # Fisher norm of the rounding error of the update
     pruned: bool
 
-    def state(self, iterations: int, converged: bool) -> _SolveState:
-        return _SolveState(self.q, self.labels, self.complexity, self.accuracy, self.objective,
-                           iterations, converged)
+    def point(self, ws: _Workspace, beta: float, meaning_labels: tuple[str, ...],
+              iterations: int, converged: bool) -> FrontierPoint:
+        """The recorded point of a solve that ends on this step. Its encoder
+        is built by ``NamingSystem.create``, as every reader builds one, so
+        entries below PROB_FLOOR are exact zeros in memory, on disk and when
+        loaded back; categories are counted on it, as ``load_frontier``
+        counts them. C, A and F are the solver's own."""
+        encoder = NamingSystem.create(self.q, self.labels.tolist(), meaning_labels)
+        return FrontierPoint(
+            beta=float(beta),
+            complexity_bits=self.complexity,
+            accuracy_bits=self.accuracy,
+            objective_bits=self.objective,
+            effective_k=_category_count(ws.p @ encoder.encoder),
+            encoder=encoder,
+            converged=converged,
+            iterations=iterations,
+        )
 
 
 def _plain_update(ws: _Workspace, x: np.ndarray, labels: np.ndarray, beta: float,
@@ -467,9 +478,11 @@ class _Anderson:
         return out
 
 
-def _fixed_point_loop(ws: _Workspace, q: np.ndarray, labels: np.ndarray, beta: float,
-                      config: SolverConfig) -> _SolveState:
-    """Iterate the update map at one beta from the encoder q.
+def _fixed_point_loop(ws: _Workspace, init: NamingSystem, beta: float,
+                      config: SolverConfig) -> FrontierPoint:
+    """Iterate the update map at one beta from the encoder ``init`` and
+    return the recorded point: the one solve of ``solve_at_beta`` and of
+    both passes of ``anneal_frontier``.
 
     Steps are Anderson-mixed, except that a run of plain updates confirms
     a candidate stop. One rule keeps F from rising: a step that raises F
@@ -477,15 +490,18 @@ def _fixed_point_loop(ws: _Workspace, q: np.ndarray, labels: np.ndarray, beta: f
     step that does is replaced by the plain step; a plain step that pruned a
     word and does is discarded, and the solve goes on with pruning off. The
     first evaluation of each pass is the seed itself, unpruned, so F never
-    exceeds F(q). The stopping rule is described in the module docstring.
+    exceeds F(init). The stopping rule is described in the module docstring.
     Duplicate words, looked for at a candidate stop and 16, 32, 64, ...
     evaluations into a pass, leave directions in which nothing moves and
     which slow the mixing down: they are merged and a fresh pass starts on
     the merged encoder. At ``max_iterations`` evaluations over all passes,
-    discarded steps included, the last evaluated state is returned.
+    discarded steps included, the last evaluated encoder is recorded.
     """
     tol, budget = config.convergence_tol, config.max_iterations
     prune = config.mass_prune_threshold
+    q, meaning_labels = init.encoder, init.meaning_labels
+    # an object array keeps every name as given; a str array drops trailing NULs
+    labels = np.array(init.word_labels, dtype=object)
     evals = 0
     while True:
         # A fresh pass: new Anderson history, run, rho and checkpoints; the
@@ -515,9 +531,9 @@ def _fixed_point_loop(ws: _Workspace, q: np.ndarray, labels: np.ndarray, beta: f
             if merged is not None and evals < budget:
                 break
             if stop and merged is None:
-                return s.state(evals, True)
+                return s.point(ws, beta, meaning_labels, evals, True)
             if evals >= budget:
-                return s.state(evals, False)
+                return s.point(ws, beta, meaning_labels, evals, False)
             accel.push(s.weights, s.qw, s.f, s.g)
             ceiling = s.objective + _F_SLACK * (abs(s.complexity) + beta * abs(s.accuracy))
             s_new = None
@@ -531,7 +547,7 @@ def _fixed_point_loop(ws: _Workspace, q: np.ndarray, labels: np.ndarray, beta: f
                     run = [s.residual]
             while s_new is None:
                 if evals >= budget:
-                    return s.state(evals, False)
+                    return s.point(ws, beta, meaning_labels, evals, False)
                 s_new = _plain_update(ws, s.g, s.labels, beta, prune)
                 evals += 1
                 if s_new.pruned and prune > 0 and s_new.objective > ceiling:
@@ -598,29 +614,11 @@ def _category_count(word_mass: np.ndarray) -> int:
     return int(np.sum(word_mass > DEFAULT_CATEGORY_MASS_THRESHOLD))
 
 
-def _make_point(state: _SolveState, ws: _Workspace, beta: float,
-                meaning_labels: tuple[str, ...]) -> FrontierPoint:
-    """The recorded point of a solve. Its encoder is built by
-    ``NamingSystem.create``, as every reader builds one, so entries below
-    PROB_FLOOR are exact zeros in memory, on disk and when loaded back.
-    Categories are counted on the word masses of that encoder, as
-    ``load_frontier`` counts them; C, A and F are the solver's own."""
-    encoder = NamingSystem.create(state.q, state.labels.tolist(), meaning_labels)
-    return FrontierPoint(
-        beta=float(beta),
-        complexity_bits=state.complexity,
-        accuracy_bits=state.accuracy,
-        objective_bits=state.objective,
-        effective_k=_category_count(ws.p @ encoder.encoder),
-        encoder=encoder,
-        converged=state.converged,
-        iterations=state.iterations,
-    )
-
-
 def solve_at_beta(space: MeaningSpace, beta: float, init: NamingSystem,
                   config: SolverConfig | None = None) -> FrontierPoint:
-    """Solve the tradeoff at one beta from a caller-supplied initial encoder.
+    """Solve the tradeoff at one beta from a caller-supplied initial encoder
+    and return the point a frontier records: the sweep is this solve
+    chained, each beta started from an encoder the tool writes.
 
     No step of the solve raises F beyond its rounding, so the objective of
     the result never exceeds the objective of ``init``; non-convergence
@@ -632,16 +630,12 @@ def solve_at_beta(space: MeaningSpace, beta: float, init: NamingSystem,
     _align(init, space)
     if config is None:
         config = SolverConfig(beta_grid=(float(beta),))
-    ws = _Workspace.for_space(space)
-    # an object array keeps every name as given; a str array drops trailing NULs
-    labels = np.array(init.word_labels, dtype=object)
-    state = _fixed_point_loop(ws, init.encoder, labels, beta, config)
-    return _make_point(state, ws, beta, space.meaning_labels)
+    return _fixed_point_loop(_Workspace.for_space(space), init, beta, config)
 
 
 def anneal_frontier(space: MeaningSpace, config: SolverConfig) -> Frontier:
-    """Sweep the beta grid from high to low, warm-starting each beta from
-    its neighbor.
+    """Sweep the beta grid from high to low, starting each beta from the
+    point just recorded at its neighbour.
 
     The sweep starts from the identity encoder at the largest beta, where
     the optimum is near-deterministic, and tracks the solution branch
@@ -651,32 +645,28 @@ def anneal_frontier(space: MeaningSpace, config: SolverConfig) -> Frontier:
     cluster-merge transitions late, and on sparse spaces it can keep words
     whose supports the update cannot merge, a metastable branch with F far
     above the optimum. So one reverse pass follows, from low to high beta:
-    it re-solves every point from the point it has just finalised and keeps
-    the candidate when its objective is lower, so each point is the better
-    of the two branches that reach it. Each point is built as soon as the
-    reverse pass has decided it; at most one other state is then alive, the
-    seed of the next candidate, so no encoder is held twice.
+    it re-solves every beta from the final point below and keeps the
+    candidate when its objective is lower, so each point is the better of
+    the two branches that reach it. Every solve is ``solve_at_beta`` from a
+    recorded encoder, so the frontier is exactly that call chained down the
+    grid from the identity and back up.
     """
     ws = _Workspace.for_space(space)
     n_m = space.num_meanings
-    grid = config.beta_grid
-
-    q, labels = np.eye(n_m), np.array([f"w{i:03d}" for i in range(n_m)])
-    states: list[_SolveState | None] = [None] * len(grid)
-    for gi in range(len(grid) - 1, -1, -1):
-        states[gi] = _fixed_point_loop(ws, q, labels, grid[gi], config)
-        q, labels = states[gi].q, states[gi].labels
-
+    seed = NamingSystem(np.eye(n_m), tuple(f"w{i:03d}" for i in range(n_m)),
+                        space.meaning_labels)
+    primary = []  # from the largest beta down
+    for beta in reversed(config.beta_grid):
+        primary.append(_fixed_point_loop(ws, seed, beta, config))
+        seed = primary[-1].encoder
     points = []
-    for gi, beta in enumerate(grid):  # the reverse pass
-        state, states[gi] = states[gi], None
-        if gi:
-            cand = _fixed_point_loop(ws, seed.q, seed.labels, beta, config)
-            if cand.objective < state.objective - 1e-15:
-                state = cand
-            seed = cand = None
-        points.append(_make_point(state, ws, beta, space.meaning_labels))
-        seed = state
+    for beta in config.beta_grid:  # the reverse pass
+        point = primary.pop()
+        if points:
+            cand = _fixed_point_loop(ws, points[-1].encoder, beta, config)
+            if cand.objective_bits < point.objective_bits - 1e-15:
+                point = cand
+        points.append(point)
     return Frontier(tuple(points), space.fingerprint, config)
 
 

@@ -1,0 +1,93 @@
+"""Digest of one frontier sweep, to compare a solver change against its parent.
+
+    export PYTHONPATH=src
+    python tests/sweep_digest.py --space space.csv --need prior.csv \\
+        --beta-max 1024 --num-betas 12 --out after.json
+    python tests/sweep_digest.py --compare before.json after.json
+
+A digest file maps each grid (space, need, beta_max x num_betas, solver
+defaults) to the evaluations its frontier records, those of ``solve_at_beta``
+chained down the grid from the identity, the unconverged points, C, A and
+effective_k per point, and the bytes and sha256 of the saved frontier files.
+``--compare`` prints per grid the largest |dC| and |dA|, the effective_k
+flips and whether the hashes match, and exits 1 on a flip.
+"""
+
+import argparse
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import ibnaming as ib
+from ibnaming.frontier_io import frontier_files
+from ibnaming.ingest import read_prior_csv, read_space_csv
+
+
+def digest(space_path: str, need: str, beta_max: float, num_betas: int) -> dict:
+    space = read_space_csv(space_path)
+    space = ib.attach_need(space, ib.Distribution.uniform(space.meaning_labels)
+                           if need == "uniform" else read_prior_csv(need))
+    config = ib.SolverConfig(beta_grid=ib.default_beta_grid(beta_max, num_betas))
+    front = ib.anneal_frontier(space, config)
+    n = space.num_meanings
+    init = ib.NamingSystem.create(np.eye(n), tuple(f"w{i:03d}" for i in range(n)),
+                                  space.meaning_labels)
+    chain = 0
+    for beta in reversed(config.beta_grid):
+        point = ib.solve_at_beta(space, beta, init, config)
+        chain, init = chain + point.iterations, point.encoder
+    with tempfile.TemporaryDirectory() as tmp:
+        ib.save_frontier(front, tmp)
+        files = [(path.name.encode(), path.read_bytes()) for path in frontier_files(tmp)]
+    column = {key: [getattr(p, key) for p in front.points]
+              for key in ("beta", "effective_k", "complexity_bits", "accuracy_bits")}
+    return {"evaluations": sum(p.iterations for p in front.points), "chain_evaluations": chain,
+            "unconverged": sum(not p.converged for p in front.points), **column,
+            "frontier_bytes": sum(len(data) for _, data in files),
+            "sha256": hashlib.sha256(b"\0".join(b"\0".join(f) for f in files)).hexdigest()}
+
+
+def compare(before: dict, after: dict) -> int:
+    flipped = False
+    for grid in sorted(before.keys() & after.keys()):
+        a, b = before[grid], after[grid]
+        dc, da = (float(np.max(np.abs(np.subtract(a[key], b[key]))))
+                  for key in ("complexity_bits", "accuracy_bits"))
+        flips = [f"{beta:.6g}" for beta, ka, kb in zip(a["beta"], a["effective_k"],
+                                                        b["effective_k"]) if ka != kb]
+        flipped |= bool(flips)
+        print(f"{grid}: max|dC| {dc:.3g}, max|dA| {da:.3g}, effective_k flips at "
+              f"[{', '.join(flips)}], evaluations {a['evaluations']} -> {b['evaluations']}, "
+              f"hashes {'match' if a['sha256'] == b['sha256'] else 'differ'}")
+    return int(flipped)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
+    parser.add_argument("--space")
+    parser.add_argument("--need", default="uniform")
+    parser.add_argument("--beta-max", type=float, default=1024.0)
+    parser.add_argument("--num-betas", type=int, default=12)
+    parser.add_argument("--out", help="add the digest to this file, replacing an older one "
+                                      "of the same grid, instead of printing it")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*(json.loads(Path(p).read_text()) for p in args.compare))
+    if args.space is None:
+        parser.error("--space is required without --compare")
+    out = {f"{args.space} {args.need} {args.beta_max:g}x{args.num_betas}":
+           digest(args.space, args.need, args.beta_max, args.num_betas)}
+    if args.out is None:
+        print(json.dumps(out, indent=1))
+    else:
+        old = json.loads(Path(args.out).read_text()) if Path(args.out).exists() else {}
+        Path(args.out).write_text(json.dumps({**old, **out}, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -61,6 +61,12 @@ def naming_a_as_matrix(path: Path) -> Path:
     return path
 
 
+def with_bom(path: Path, out: Path) -> Path:
+    """``path`` with a UTF-8 byte-order mark in front, as spreadsheets save CSV."""
+    out.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return out
+
+
 class TestPipelineComposability:
     def test_make_space_feeds_frontier(self, runner, tmp_path):
         paths = build_container_pipeline(runner, tmp_path, num_betas=40)
@@ -212,6 +218,34 @@ class TestPipelineComposability:
                         "--space", str(paths["space"]), "--need", str(paths["prior"]),
                         "--frontier", str(paths["front"]), "--out", str(out)])
         assert abs(json.loads(out.read_text())["inefficiency_bits"]) <= 1e-9
+
+    def test_make_prior_reads_counts_with_a_byte_order_mark(self, runner, tmp_path):
+        space = tmp_path / "space.csv"
+        run_ok(runner, ["make-space", "--similarity", str(FIXTURES / "similarity.csv"),
+                        "--out", str(space)])
+        priors = []
+        for name, naming in (("plain", FIXTURES / "naming_a.tsv"),
+                             ("bom", with_bom(FIXTURES / "naming_a.tsv",
+                                              tmp_path / "naming_a.tsv"))):
+            priors.append(tmp_path / f"prior_{name}.csv")
+            run_ok(runner, ["make-prior", "--naming", str(naming), "--space", str(space),
+                            "--out", str(priors[-1])])
+        assert priors[1].read_bytes() == priors[0].read_bytes()
+
+    def test_eval_reads_counts_with_a_byte_order_mark(self, runner, tmp_path):
+        # the BOM must not hide the counts header and send the file to the
+        # encoder-matrix reader
+        paths = build_container_pipeline(runner, tmp_path, num_betas=12)
+        results = []
+        for name, naming in (("plain", FIXTURES / "naming_a.tsv"),
+                             ("bom", with_bom(FIXTURES / "naming_a.tsv",
+                                              tmp_path / "naming_a.tsv"))):
+            out = tmp_path / f"eval_{name}.json"
+            run_ok(runner, ["eval", "--system", str(naming), "--space", str(paths["space"]),
+                            "--need", str(paths["prior"]), "--frontier", str(paths["front"]),
+                            "--out", str(out)])
+            results.append(json.loads(out.read_text()))
+        assert results[1] == results[0]
 
     def test_gnid_pairs_counts_with_a_matrix(self, runner, tmp_path):
         matrix = naming_a_as_matrix(tmp_path / "naming_a_matrix.csv")

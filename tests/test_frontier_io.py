@@ -10,12 +10,9 @@ from ibnaming import (
     Distribution,
     Frontier,
     MeaningSpace,
-    NamingSystem,
     SolverConfig,
     ValidationError,
-    accuracy,
     anneal_frontier,
-    complexity,
     default_beta_grid,
     fit_beta,
     load_frontier,
@@ -39,13 +36,13 @@ def computed(rng):
 def sub_floor(rng, monkeypatch):
     """A frontier whose solves end with encoder entries in (0, PROB_FLOOR)."""
     solved = []
-    make_point = solver._make_point
+    point = solver._Step.point
 
-    def recording(state, *args):
-        solved.append(state.q)
-        return make_point(state, *args)
+    def recording(step, *args):
+        solved.append(step.q)
+        return point(step, *args)
 
-    monkeypatch.setattr(solver, "_make_point", recording)
+    monkeypatch.setattr(solver._Step, "point", recording)
     space = random_space(rng, 6, 8)
     front = anneal_frontier(space, SolverConfig(beta_grid=default_beta_grid(64.0, 20),
                                                 max_iterations=6000))
@@ -217,11 +214,12 @@ def test_word_at_the_category_threshold_loads_back(tmp_path):
     space = MeaningSpace.create(np.array([[0.8, 0.2], [0.3, 0.7]]), ("u0", "u1"), labels,
                                 Distribution.uniform(labels))
     q = np.array([[2e-5, 1 - 2e-5], [9e-16, 1 - 9e-16]])
-    assert space.need.mass @ q[:, 0] > DEFAULT_CATEGORY_MASS_THRESHOLD
-    encoder = NamingSystem.create(q, ("w000", "w001"), labels)
-    c, a = complexity(encoder, space.need), accuracy(encoder, space)
-    state = solver._SolveState(q, np.array(["w000", "w001"]), c, a, c - a, 1, True)
-    point = solver._make_point(state, solver._Workspace.for_space(space), 1.0, labels)
+    ws = solver._Workspace.for_space(space)
+    step = solver._plain_update(ws, solver._log_encoder(q),
+                                np.array(["w000", "w001"], dtype=object), 1.0, 0.0)
+    assert 0 < step.q[1, 0] < PROB_FLOOR
+    assert step.qw[0] > DEFAULT_CATEGORY_MASS_THRESHOLD
+    point = step.point(ws, 1.0, labels, 1, True)
     assert point.effective_k == 1
     save_frontier(Frontier((point,), space.fingerprint, SolverConfig(beta_grid=(1.0,))),
                   tmp_path)

@@ -356,6 +356,16 @@ class TestFileIO:
         assert loaded.meaning_labels == space.meaning_labels
         assert loaded.universe_labels == space.universe_labels
 
+    def test_space_with_a_byte_order_mark_loads_the_same(self, tmp_path, rng):
+        # spreadsheets save "CSV UTF-8" with a BOM in front of the header
+        space = random_space(rng, 5, 7)
+        path = tmp_path / "space.csv"
+        write_space_csv(space, path)
+        marked = tmp_path / "space_bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        loaded = attach_need(read_space_csv(marked), space.need)
+        assert loaded.fingerprint == space.fingerprint
+
     def test_prior_round_trip_exact(self, tmp_path, rng):
         prior = Distribution.create(rng.dirichlet(np.ones(6)),
                                     tuple(f"m{i}" for i in range(6)))

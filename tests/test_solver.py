@@ -70,6 +70,9 @@ class TestBetaGrid:
     def test_one_beta_is_beta_max(self):
         assert default_beta_grid(0.05, 1) == (0.05,)
 
+    def test_two_betas_end_at_beta_max(self):
+        assert default_beta_grid(64.0, 2) == (0.0, 64.0)
+
 
 class TestSolverConfig:
     def test_grid_must_increase(self):
@@ -311,21 +314,57 @@ class TestAnnealFrontier:
         # identical meanings can never be told apart: at most 2 categories
         assert front.points[-1].effective_k == 2
 
-    def test_each_state_is_freed_once_its_point_is_built(self, rng, monkeypatch):
-        # so the sweep never holds an encoder twice: by the time point i is
-        # built, the solve states of every earlier point are gone
+    def test_no_step_outlives_its_solve(self, rng, monkeypatch):
+        # so the sweep holds recorded points only, never a solver's encoder
+        # beside them: every step of a solve, the one its point is built
+        # from included, is gone when the solve returns
         refs, alive = [], []
-        make_point = solver._make_point
+        plain_update, solve = solver._plain_update, solver._fixed_point_loop
 
-        def tracked(state, *args):
-            alive.append([ref() is not None for ref in refs])
-            refs.append(weakref.ref(state))
-            return make_point(state, *args)
+        def tracked_update(*args):
+            step = plain_update(*args)
+            refs.append(weakref.ref(step))
+            return step
 
-        monkeypatch.setattr(solver, "_make_point", tracked)
+        def tracked_solve(*args):
+            point = solve(*args)
+            alive.append(sum(ref() is not None for ref in refs))
+            return point
+
+        monkeypatch.setattr(solver, "_plain_update", tracked_update)
+        monkeypatch.setattr(solver, "_fixed_point_loop", tracked_solve)
         grid = default_beta_grid(16, 6)
         anneal_frontier(random_space(rng, 4, 4), small_config(grid))
-        assert alive == [[False] * i for i in range(len(grid))]
+        assert refs and alive == [0] * (2 * len(grid) - 1)
+
+    def test_sweep_is_solve_at_beta_chained(self):
+        # every solve of the sweep starts from an encoder the tool records,
+        # so public solves down the grid from the identity and back up, each
+        # kept when its F is lower, give the same frontier to the bit
+        space = random_space(np.random.default_rng(0))
+        config = SolverConfig(beta_grid=default_beta_grid(64, 15), max_iterations=6000)
+        front = anneal_frontier(space, config)
+        n = space.num_meanings
+        init = NamingSystem.create(np.eye(n), tuple(f"w{i:03d}" for i in range(n)),
+                                   space.meaning_labels)
+        primary = {}
+        for beta in reversed(config.beta_grid):
+            primary[beta] = solve_at_beta(space, beta, init, config)
+            init = primary[beta].encoder
+        chained = []
+        for beta in config.beta_grid:
+            point = primary[beta]
+            if chained:
+                cand = solve_at_beta(space, beta, chained[-1].encoder, config)
+                if cand.objective_bits < point.objective_bits - 1e-15:
+                    point = cand
+            chained.append(point)
+        for got, want in zip(front.points, chained, strict=True):
+            assert ((got.complexity_bits, got.accuracy_bits, got.objective_bits, got.iterations)
+                    == (want.complexity_bits, want.accuracy_bits, want.objective_bits,
+                        want.iterations))
+            assert got.encoder.word_labels == want.encoder.word_labels
+            assert got.encoder.encoder.tobytes() == want.encoder.encoder.tobytes()
 
     def test_fingerprint_recorded(self, rng):
         space = random_space(rng, 3, 3)
