@@ -260,15 +260,12 @@ def make_prior(naming, epsilon, space, out):
 @click.option("--need", required=True, help=_NEED_HELP)
 @click.option("--beta-max", type=float, default=1024.0, show_default=True)
 @click.option("--num-betas", type=int, default=1500, show_default=True)
-@click.option("--tol", type=float, default=1e-12, show_default=True,
-              help="Bound, in bits, on how far complexity and accuracy may still "
-                   "move under further updates at each beta.")
 @click.option("--max-iterations", type=int, default=30000, show_default=True)
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-def frontier(space, need, beta_max, num_betas, tol, max_iterations, out):
+def frontier(space, need, beta_max, num_betas, max_iterations, out):
     """Compute the efficiency frontier over a beta grid."""
     config = SolverConfig(beta_grid=default_beta_grid(beta_max, num_betas),
-                          convergence_tol=tol, max_iterations=max_iterations)
+                          max_iterations=max_iterations)
     run = _Run()
     front = anneal_frontier(_load_space(run, space, need), config)
     for p in save_frontier(front, out).values():

@@ -59,11 +59,10 @@ def single_word_system(space: MeaningSpace) -> NamingSystem:
                                space.meaning_labels)
 
 
-def continued_ca_move(space: MeaningSpace, point: FrontierPoint, tol: float = 1e-16) -> float:
+def continued_ca_move(space: MeaningSpace, point: FrontierPoint) -> float:
     """Largest change of complexity or accuracy, in bits, when the solver
-    keeps iterating from a recorded point at a tight tolerance, pruning off."""
-    config = SolverConfig(beta_grid=(point.beta,), convergence_tol=tol,
-                          mass_prune_threshold=0.0)
+    keeps iterating from a recorded point, pruning off."""
+    config = SolverConfig(beta_grid=(point.beta,), mass_prune_threshold=0.0)
     moved = solve_at_beta(space, point.beta, point.encoder, config)
     return max(abs(moved.complexity_bits - point.complexity_bits),
                abs(moved.accuracy_bits - point.accuracy_bits))

@@ -8,10 +8,10 @@ Run from the repository root after regen_fixtures.py:
 The comparison lists every value that differs from the committed golden by
 more than the golden tests' tolerance (GOLDEN_ATOL), and exits with status 1
 if there is any. For a frontier complexity or accuracy it also prints the
-tight-tolerance limit, reached by iterating on from the fresh point at
-convergence_tol 1e-16, and says which of the old and new values is closer to
-it. Each changed effective_k and each moved hierarchy layer comes with the
-figures that explain it.
+limit reached by iterating on from the fresh point with pruning off, and
+says which of the old and new values is closer to it. Each changed
+effective_k and each moved hierarchy layer comes with the figures that
+explain it.
 
 The frozen values come from two sources: the library pipeline itself (for
 determinism checks at loose float tolerance) and the brute-force oracle (for
@@ -50,7 +50,6 @@ ORACLE_GRID_INDICES = [15, 35, 55, 75, 90, 105, 120, 130, 140, 149]
 ORACLE_WORDS = 4
 # tolerance of the golden tests (assert_close in test_acceptance.py)
 GOLDEN_ATOL = 1e-6
-LIMIT_TOL = 1e-16
 
 
 def frontier_summary(front: ib.Frontier) -> dict:
@@ -180,8 +179,7 @@ def _changed(old, new, path=""):
 
 
 def _limit(space: ib.MeaningSpace, point: ib.FrontierPoint) -> ib.FrontierPoint:
-    config = ib.SolverConfig(beta_grid=(point.beta,), convergence_tol=LIMIT_TOL,
-                             mass_prune_threshold=0.0)
+    config = ib.SolverConfig(beta_grid=(point.beta,), mass_prune_threshold=0.0)
     return ib.solve_at_beta(space, point.beta, point.encoder, config)
 
 

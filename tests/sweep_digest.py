@@ -6,11 +6,14 @@
     python tests/sweep_digest.py --compare before.json after.json
 
 A digest file maps each grid (space, need, beta_max x num_betas, solver
-defaults) to the evaluations its frontier records, those of ``solve_at_beta``
-chained down the grid from the identity, the unconverged points, C, A and
-effective_k per point, and the bytes and sha256 of the saved frontier files.
-``--compare`` prints per grid the largest |dC| and |dA|, the effective_k
-flips and whether the hashes match, and exits 1 on a flip.
+defaults) to the evaluations its frontier records, those of every solve of
+the sweep (losing reverse-pass candidates included), those of
+``solve_at_beta`` chained down the grid from the identity, the unconverged
+points, the largest gap of a point's F above the lowest line C_j - beta A_j
+of any recorded point, C, A and effective_k per point, and the bytes and
+sha256 of the saved frontier files. ``--compare`` prints per grid the
+largest |dC| and |dA|, the effective_k flips, the evaluations, the gaps and
+whether the hashes match, and exits 1 on a flip.
 """
 
 import argparse
@@ -22,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 import ibnaming as ib
+from ibnaming import solver
 from ibnaming.frontier_io import frontier_files
 from ibnaming.ingest import read_prior_csv, read_space_csv
 
@@ -31,7 +35,19 @@ def digest(space_path: str, need: str, beta_max: float, num_betas: int) -> dict:
     space = ib.attach_need(space, ib.Distribution.uniform(space.meaning_labels)
                            if need == "uniform" else read_prior_csv(need))
     config = ib.SolverConfig(beta_grid=ib.default_beta_grid(beta_max, num_betas))
-    front = ib.anneal_frontier(space, config)
+    solves = []
+    solve = solver._fixed_point_loop
+
+    def counted(*args):
+        point = solve(*args)
+        solves.append(point.iterations)
+        return point
+
+    solver._fixed_point_loop = counted
+    try:
+        front = ib.anneal_frontier(space, config)
+    finally:
+        solver._fixed_point_loop = solve
     n = space.num_meanings
     init = ib.NamingSystem.create(np.eye(n), tuple(f"w{i:03d}" for i in range(n)),
                                   space.meaning_labels)
@@ -44,8 +60,12 @@ def digest(space_path: str, need: str, beta_max: float, num_betas: int) -> dict:
         files = [(path.name.encode(), path.read_bytes()) for path in frontier_files(tmp)]
     column = {key: [getattr(p, key) for p in front.points]
               for key in ("beta", "effective_k", "complexity_bits", "accuracy_bits")}
-    return {"evaluations": sum(p.iterations for p in front.points), "chain_evaluations": chain,
-            "unconverged": sum(not p.converged for p in front.points), **column,
+    c, a = np.array(column["complexity_bits"]), np.array(column["accuracy_bits"])
+    gap = max(ci - b * ai - np.min(c - b * a) for b, ci, ai in zip(column["beta"], c, a))
+    return {"evaluations": sum(p.iterations for p in front.points),
+            "all_solve_evaluations": sum(solves), "chain_evaluations": chain,
+            "unconverged": sum(not p.converged for p in front.points),
+            "envelope_gap_bits": float(gap), **column,
             "frontier_bytes": sum(len(data) for _, data in files),
             "sha256": hashlib.sha256(b"\0".join(b"\0".join(f) for f in files)).hexdigest()}
 
@@ -61,6 +81,10 @@ def compare(before: dict, after: dict) -> int:
         flipped |= bool(flips)
         print(f"{grid}: max|dC| {dc:.3g}, max|dA| {da:.3g}, effective_k flips at "
               f"[{', '.join(flips)}], evaluations {a['evaluations']} -> {b['evaluations']}, "
+              f"all solves {a.get('all_solve_evaluations')} -> "
+              f"{b.get('all_solve_evaluations')}, unconverged {a['unconverged']} -> "
+              f"{b['unconverged']}, envelope gap {a.get('envelope_gap_bits', float('nan')):.3g}"
+              f" -> {b.get('envelope_gap_bits', float('nan')):.3g} bits, "
               f"hashes {'match' if a['sha256'] == b['sha256'] else 'differ'}")
     return int(flipped)
 

@@ -383,19 +383,6 @@ class TestExitCodes:
         assert "beta_max must be finite" in lines[0]
         assert not (tmp_path / "f").exists()
 
-    def test_nan_tolerance_exits_one(self, runner, tmp_path):
-        space = tmp_path / "space.csv"
-        run_ok(runner, ["make-space", "--similarity", str(FIXTURES / "similarity.csv"),
-                        "--out", str(space)])
-        result = runner.invoke(main, ["frontier", "--space", str(space), "--need", "uniform",
-                                      "--tol", "nan", "--num-betas", "5",
-                                      "--out", str(tmp_path / "f")])
-        assert result.exit_code == 1, result.output
-        lines = result.output.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
-        assert "convergence_tol must be finite and > 0" in lines[0]
-        assert not (tmp_path / "f").exists()
-
     BAD_NUMBERS = [
         *((["make-prior", "--naming", "naming_a.tsv", "--epsilon", v],
            "epsilon must be finite and >= 0") for v in ("nan", "inf", "-0.5")),
@@ -570,6 +557,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args", [
         ["frontier", "--prune-threshold", "0"],
+        ["frontier", "--tol", "1e-12"],
         ["baseline", "--include-identity"],
         ["hierarchy", "--threshold", "1e-5"],
         ["hierarchy", "--out-text", "h.txt"],
@@ -834,7 +822,7 @@ class TestManifests:
         manifest = json.loads((paths["front"] / "manifest.json").read_text())
         assert manifest["config"] == {
             "space": str(paths["space"]), "need": str(paths["prior"]), "beta_max": 32.0,
-            "num_betas": 12, "tol": 1e-12, "max_iterations": 30000,
+            "num_betas": 12, "max_iterations": 30000,
             "out": str(paths["front"]),
         }
         hout = str(tmp_path / "h.json")

@@ -89,26 +89,22 @@ class TestSolverConfig:
         with pytest.raises(ValidationError, match="finite"):
             SolverConfig(beta_grid=grid)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-12])
-    def test_tolerance_must_be_finite_and_positive(self, tol):
-        # a NaN tolerance never stops a solve, and neither NaN nor inf is JSON
-        with pytest.raises(ValidationError, match="convergence_tol"):
-            SolverConfig(beta_grid=(1.0,), convergence_tol=tol)
-
+    # neither NaN nor inf is JSON, and frontier_meta.json records the threshold
     @pytest.mark.parametrize("kwargs, message", [
         ({"beta_grid": ()}, "beta_grid is empty"),
         ({"beta_grid": (1.0,), "max_iterations": 0}, "max_iterations must be >= 1, got 0"),
-        ({"beta_grid": (1.0,), "mass_prune_threshold": -1e-5},
-         "mass_prune_threshold must be >= 0"),
-    ], ids=["empty-grid", "no-iterations", "negative-threshold"])
+        *(({"beta_grid": (1.0,), "mass_prune_threshold": value},
+           "mass_prune_threshold must be finite and >= 0") for value in (-1e-5, np.nan, np.inf)),
+    ], ids=["empty-grid", "no-iterations", "negative-threshold", "nan-threshold",
+            "inf-threshold"])
     def test_field_messages(self, kwargs, message):
         with pytest.raises(ValidationError) as caught:
             SolverConfig(**kwargs)
         assert caught.value.errors == [message]
 
     def test_round_trips_through_dict(self):
-        cfg = SolverConfig(beta_grid=(0.0, 1.0, 2.0), convergence_tol=1e-8,
-                           max_iterations=500, mass_prune_threshold=1e-6)
+        cfg = SolverConfig(beta_grid=(0.0, 1.0, 2.0), max_iterations=500,
+                           mass_prune_threshold=1e-6)
         assert SolverConfig.from_dict(cfg.to_dict()) == cfg
         # optional keys fall back to the field defaults
         assert SolverConfig.from_dict({"beta_grid": [0.0, 1.0]}) == SolverConfig((0.0, 1.0))
@@ -116,6 +112,13 @@ class TestSolverConfig:
         old = cfg.to_dict() | {"restarts": 0, "seed": 0, "anneal_direction": "high-to-low",
                                "max_clusters": None}
         assert SolverConfig.from_dict(old) == cfg
+
+    def test_tolerance_is_accepted_and_ignored(self):
+        cfg = SolverConfig(beta_grid=(1.0,), convergence_tol=1e-300)
+        assert cfg == SolverConfig(beta_grid=(1.0,))
+        assert "convergence_tol" not in cfg.to_dict()
+        # frontier metadata written while the tolerance was a field
+        assert SolverConfig.from_dict(cfg.to_dict() | {"convergence_tol": 1e-12}) == cfg
 
 
 class TestSolveAtBeta:
@@ -250,7 +253,7 @@ class TestSolveAtBeta:
 
     def test_nonconvergence_flagged_not_raised(self, rng):
         space = random_space(rng, 5, 5)
-        cfg = SolverConfig(beta_grid=(2.0,), max_iterations=1, convergence_tol=1e-14)
+        cfg = SolverConfig(beta_grid=(2.0,), max_iterations=1)
         point = solve_at_beta(space, 2.0, identity_system(space), cfg)
         assert point.converged is False
         # duplicate words from the first evaluation on: running out of budget
@@ -396,23 +399,48 @@ class TestFrontierValidate:
 
     def test_unsorted_betas(self):
         front = self.frontier((0.0, 2.0, 1.0), (0.0, 1.0, 2.0), (0.0, 1.0, 2.0))
-        assert front.validate() == ["points are not sorted by strictly increasing beta"]
+        assert front.validate() == [
+            "points are not sorted by strictly increasing beta",
+            "point at beta=2 lies 1 bits above the line of the point at beta=1"]
 
     def test_complexity_decrease(self):
-        # the second drop, 5e-7 bits, is inside the tolerance
+        # the second drop, 5e-7 bits, is inside the slack
         front = self.frontier((1.0, 2.0, 3.0), (1.0, 0.5, 0.5 - 5e-7), (0.5, 0.5, 0.5))
         assert front.validate() == [
-            "complexity decreases from beta=1 to beta=2 (1 -> 0.5)"]
+            "point at beta=1 lies 0.5 bits above the line of the point at beta=3"]
 
     def test_accuracy_decrease(self):
-        # the second drop, 5e-7 bits, is inside the tolerance
+        # the second drop, 5e-7 bits, is inside the slack
         front = self.frontier((1.0, 2.0, 3.0), (0.5, 1.0, 1.0), (0.5, 0.25, 0.25 - 5e-7))
         assert front.validate() == [
-            "accuracy decreases from beta=1 to beta=2 (0.5 -> 0.25)"]
+            "point at beta=2 lies 1 bits above the line of the point at beta=1",
+            "point at beta=3 lies 1.25 bits above the line of the point at beta=1"]
 
     def test_dip_below_the_chord(self):
         front = self.frontier((1.0, 2.0, 3.0), (0.0, 1.0, 2.0), (0.0, 0.25, 1.0))
-        assert front.validate() == ["accuracy dips below the chord at beta=2 (0.25 < 0.5)"]
+        assert front.validate() == [
+            "point at beta=2 lies 0.5 bits above the line of the point at beta=1"]
+
+    def test_beaten_by_a_line_while_monotone_and_concave(self):
+        # C and A rise and A is concave in C, but at beta = 3 the encoder of
+        # the beta = 2 point reaches F = 1 - 3 * 0.9 = -1.7 < 2 - 3 * 1.2
+        front = self.frontier((1.0, 2.0, 3.0), (0.0, 1.0, 2.0), (0.0, 0.9, 1.2))
+        assert front.validate() == [
+            "point at beta=3 lies 0.1 bits above the line of the point at beta=2"]
+
+    def test_primary_pass_alone_is_caught(self):
+        # without the reverse pass, this sparse space keeps support-locked
+        # words at low beta, far above the one-word optimum
+        r = np.random.default_rng(7)
+        space = random_space(r, int(r.integers(3, 7)), int(r.integers(3, 8)), sparse=True)
+        config = SolverConfig(beta_grid=default_beta_grid(64, 15))
+        init, primary = identity_system(space), []
+        for beta in reversed(config.beta_grid):
+            primary.append(solve_at_beta(space, beta, init, config))
+            init = primary[-1].encoder
+        errors = Frontier(tuple(reversed(primary)), space.fingerprint, config).validate()
+        assert len(errors) == 7 and " lies 1.2" in " ".join(errors), errors
+        assert anneal_frontier(space, config).validate() == []
 
 
 def _all_pairs_groups(mhat: np.ndarray) -> list[list[int]]:
@@ -495,6 +523,24 @@ class TestDuplicateWords:
 
 
 class TestFixedPoint:
+    def test_converged_solves_end_at_the_rounding_floor(self, monkeypatch):
+        # the one stop: a solve is converged only on a step whose residual
+        # is down to the rounding error of the update
+        ends = []
+        point = solver._Step.point
+
+        def recording(step, *args):
+            converged = args[-1]
+            ends.append((converged, step.residual <= step.round_off))
+            return point(step, *args)
+
+        monkeypatch.setattr(solver._Step, "point", recording)
+        space = random_space(np.random.default_rng(0))
+        anneal_frontier(space, SolverConfig(beta_grid=default_beta_grid(64, 15),
+                                            max_iterations=6000))
+        assert len(ends) == 29 and all(converged for converged, _ in ends)
+        assert all(at_floor for _, at_floor in ends)
+
     def test_one_extra_update_is_stationary(self, rng):
         for _ in range(3):
             space = random_space(rng, 5, 5)
@@ -505,7 +551,7 @@ class TestFixedPoint:
 
     def test_continued_iteration_pins_complexity_and_accuracy(self, rng):
         # F is stationary at the optimum, so the check above cannot see C and A
-        # still moving; the stopping rule bounds that movement by the tolerance
+        # still moving; stopping at the rounding floor pins them as well
         for _ in range(3):
             space = random_space(rng, 5, 5)
             front = anneal_frontier(space, small_config(default_beta_grid(32, 25)))
@@ -514,9 +560,9 @@ class TestFixedPoint:
                 assert continued_ca_move(space, point) < 1e-8
 
     def test_default_tolerance_pins_fixture_points(self):
-        # at the default tolerance every point of both fixture pipelines is
-        # within 1e-11 bits of its tight-tolerance limit in C and A (largest
-        # measured move 5.3e-13)
+        # every point of both fixture pipelines is within 1e-11 bits of the
+        # limit of continued iteration in C and A (largest measured move
+        # 2.9e-14)
         c_space, _, _, c_front = regen_golden.container_pipeline()
         for space, front in ((c_space, c_front), regen_golden.animal_pipeline()):
             for point in front.points:
