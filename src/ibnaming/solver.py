@@ -23,7 +23,9 @@ log-encoder, in the Fisher norm with weights p(m) q(w|m), and the iteration
 stops when it is down to the rounding error of that update, the same norm
 of the update's terms times a few ulps. So every recorded point is a fixed
 point of the plain update as far as floating point can tell, in C and A and
-not only in F.
+not only in F. The weights sum to 1, so that norm is at most the largest
+term; the exact norm is computed only when the residual is within twice
+that bound, and the stop decides as if it were computed on every step.
 
 Words whose marginal mass falls below the prune threshold are dropped
 mid-iteration. One rule covers mixing and pruning alike: a step that raises
@@ -35,6 +37,7 @@ intervals during it, and a fresh pass starts on the merged encoder.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
@@ -81,6 +84,11 @@ _WEIGHT_DRIFT = 4.0
 _DUPLICATE_CHECK = 16
 # A mixed step may raise F by this share of |C| + beta |A| (rounding of F).
 _F_SLACK = 64 * _EPS
+# The duplicate-word screen: features compared before a candidate pair's
+# full rows, and the differences taken at once (128 KB), which bounds the
+# screen's memory when every pair is a candidate.
+_SCREEN_FEATURES = 8
+_BLOCK_ENTRIES = 1 << 14
 
 
 class CategorySelectionError(IBNamingError):
@@ -110,7 +118,9 @@ class SolverConfig:
     convergence_tol: InitVar[float | None] = None
 
     def __post_init__(self, convergence_tol):
+        # plain Python numbers, as frontier_meta.json records them
         object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
+        object.__setattr__(self, "mass_prune_threshold", float(self.mass_prune_threshold))
         errors = []
         if not self.beta_grid:
             errors.append("beta_grid is empty")
@@ -120,8 +130,15 @@ class SolverConfig:
             errors.append(f"beta_grid values must be >= 0, got {self.beta_grid[0]}")
         if any(b2 <= b1 for b1, b2 in zip(self.beta_grid, self.beta_grid[1:])):
             errors.append("beta_grid must be strictly increasing")
-        if self.max_iterations < 1:
-            errors.append(f"max_iterations must be >= 1, got {self.max_iterations}")
+        try:
+            if isinstance(self.max_iterations, bool):
+                raise TypeError
+            object.__setattr__(self, "max_iterations", operator.index(self.max_iterations))
+        except TypeError:
+            errors.append(f"max_iterations must be an integer, got {self.max_iterations!r}")
+        else:
+            if self.max_iterations < 1:
+                errors.append(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 0 <= self.mass_prune_threshold < np.inf:
             errors.append("mass_prune_threshold must be finite and >= 0")
         if errors:
@@ -267,12 +284,15 @@ class _Workspace:
     reps: np.ndarray
     m0_log: np.ndarray
     self_nats: np.ndarray
+    self_max: float  # max |self_nats|
 
     @classmethod
     def for_space(cls, space: MeaningSpace) -> "_Workspace":
         p = space.require_need().mass
         reps = space.representations
-        return cls(p, reps, _log(space.prior_representation), np.sum(reps * _log(reps), axis=1))
+        self_nats = np.sum(reps * _log(reps), axis=1)
+        return cls(p, reps, _log(space.prior_representation), self_nats,
+                   float(np.max(np.abs(self_nats))))
 
 
 @dataclass
@@ -290,7 +310,9 @@ class _Step:
     g: np.ndarray  # log-encoder after one plain update
     f: np.ndarray  # residual: g minus the log-encoder of q
     residual: float  # Fisher norm of f
-    round_off: float  # Fisher norm of the rounding error of the update
+    # Fisher norm of the rounding error of the update when residual is within
+    # _round_off_bound, else that bound: residual <= round_off decides alike
+    round_off: float
     pruned: bool
 
     def point(self, ws: _Workspace, beta: float, meaning_labels: tuple[str, ...],
@@ -338,21 +360,41 @@ def _plain_update(ws: _Workspace, x: np.ndarray, labels: np.ndarray, beta: float
     del lh
     g = dist * -beta
     g += log_qw[None, :]
-    # The update forms log q(w) - beta * (self - cross); its rounding error
-    # scales with the size of those terms, not with the size of the result.
-    scale = np.subtract(ws.self_nats[:, None], dist, out=dist)  # reuses dist
+    g = _normalized(g)
+    f = g - x
+    residual = _fisher_norm(weights, f)
+    round_off = _round_off_bound(ws, dist, log_qw, beta)
+    if residual <= round_off:  # only then can the exact norm decide the stop
+        round_off = _round_off(ws, weights, dist, log_qw, beta)
+    return _Step(q, labels, qw, weights, mhat, c, a, c - beta * a, g, f, residual, round_off,
+                 pruned)
+
+
+def _round_off(ws: _Workspace, weights: np.ndarray, dist: np.ndarray, log_qw: np.ndarray,
+               beta: float) -> float:
+    """Fisher norm of the rounding error of the update formed from the
+    distortion matrix ``dist``, which it overwrites.
+
+    The update forms log q(w) - beta * (self - cross); its rounding error
+    scales with the size of those terms, not with the size of the result.
+    """
+    scale = np.subtract(ws.self_nats[:, None], dist, out=dist)
     np.abs(scale, out=scale)
     np.minimum(scale, 1e100, out=scale)
     scale += np.abs(ws.self_nats)[:, None]
     scale *= beta
     scale += np.abs(log_qw)[None, :]
-    round_off = _ROUND_OFF_ULPS * _EPS * _fisher_norm(weights, scale)
-    del dist, scale
-    g = _normalized(g)
-    f = g - x
-    residual = _fisher_norm(weights, f)
-    return _Step(q, labels, qw, weights, mhat, c, a, c - beta * a, g, f, residual, round_off,
-                 pruned)
+    return _ROUND_OFF_ULPS * _EPS * _fisher_norm(weights, scale)
+
+
+def _round_off_bound(ws: _Workspace, dist: np.ndarray, log_qw: np.ndarray,
+                     beta: float) -> float:
+    """An upper bound of ``_round_off`` from three maxima: its Fisher
+    weights sum to 1, so its norm is at most the largest entry of its scale.
+    The factor 2 covers the rounding of both."""
+    cross = min(max(float(dist.max()), -float(dist.min())) + ws.self_max, 1e100)
+    return 2 * _ROUND_OFF_ULPS * _EPS * (beta * (cross + ws.self_max)
+                                         + float(np.max(np.abs(log_qw))))
 
 
 def _fisher_norm(weights: np.ndarray, dx: np.ndarray) -> float:
@@ -370,25 +412,29 @@ class _Anderson:
     Fisher norm. The norm's weights w = p(m) q(w|m) are those of the step
     that starts the history: each residual difference is stored already
     multiplied by sqrt(w), and the Gram matrix of the stored rows gains one
-    row and column per ``push``, so a push and a mix each read the history
-    once. A step whose word masses have moved by more than _WEIGHT_DRIFT
-    from the history's start starts a new history. The state is two
-    single-precision ring buffers of _ANDERSON_DEPTH rows of n * k entries
-    (single precision is enough for the mixing coefficients), the sqrt(w)
-    vector and the small Gram matrix.
+    row and column per ``push``, which also takes the right-hand side of
+    the next ``mix`` from the same pass, so a push and a mix each read one
+    ring buffer once. A step whose word masses have moved by more than
+    _WEIGHT_DRIFT from the history's start starts a new history. The state
+    is two single-precision ring buffers of _ANDERSON_DEPTH rows of n * k
+    entries (single precision is enough for the mixing coefficients), the
+    sqrt(w) vector, the small Gram matrix and right-hand side, and one
+    double-precision buffer of _ANDERSON_DEPTH * _MIX_BLOCK entries (655 KB)
+    that holds the block of a ring buffer being multiplied.
     """
 
     def __init__(self):
         self.d_res = self.d_map = None
         # entries of rows not yet written are never read
         self.gram = np.zeros((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
+        self.block = np.empty(_ANDERSON_DEPTH * _MIX_BLOCK)
         self.clear()
 
     def clear(self) -> None:
         """Forget the history; the next push starts a new one with its own weights."""
         self.last: tuple[np.ndarray, np.ndarray] | None = None
         self.count = 0
-        self.sqrt_w = self.qw0 = None
+        self.sqrt_w = self.qw0 = self.rhs = None
 
     @property
     def depth(self) -> int:
@@ -414,35 +460,39 @@ class _Anderson:
             np.subtract(g.ravel(), self.last[1].ravel(), out=self.d_map[i], casting="same_kind")
             self.count += 1
             m = self.depth
-            row = np.zeros(m)
-            # blocks of entries keep the double-precision copies small
+            row, self.rhs = np.zeros(m), np.zeros(m)
+            fr = f.ravel()
             for a in range(0, f.size, _MIX_BLOCK):
-                block = self.d_res[:m, a:a + _MIX_BLOCK].astype(np.float64)
+                block = self._doubles(self.d_res, a)
                 row += block @ block[i]
+                self.rhs += block @ (self.sqrt_w[a:a + _MIX_BLOCK] * fr[a:a + _MIX_BLOCK])
             self.gram[i, :m] = row
             self.gram[:m, i] = row
         self.last = (f, g)
 
+    def _doubles(self, rows: np.ndarray, a: int) -> np.ndarray:
+        """The history's entries a to a + _MIX_BLOCK of a ring buffer, in
+        double precision in the block buffer: a contiguous depth x width
+        array, as ``astype`` would allocate it."""
+        src = rows[:self.depth, a:a + _MIX_BLOCK]
+        out = self.block[:src.size].reshape(src.shape)
+        np.copyto(out, src)
+        return out
+
     def mix(self) -> np.ndarray:
         """Mixed log-encoder from the last pushed residual f and update g."""
-        f, g = self.last
+        g = self.last[1]
         m = self.depth
-        res, maps = self.d_res[:m], self.d_map[:m]
-        rhs = np.zeros(m)
-        fr = f.ravel()
-        for a in range(0, fr.size, _MIX_BLOCK):
-            rhs += res[:, a:a + _MIX_BLOCK].astype(np.float64) @ (
-                self.sqrt_w[a:a + _MIX_BLOCK] * fr[a:a + _MIX_BLOCK])
         gram = self.gram[:m, :m]
         # least squares in the Fisher norm, on unit-scaled columns
         scale = np.sqrt(np.diag(gram))
         scale[scale == 0] = 1.0
-        coef = np.linalg.lstsq(gram / np.outer(scale, scale), rhs / scale,
+        coef = np.linalg.lstsq(gram / np.outer(scale, scale), self.rhs / scale,
                                rcond=_GRAM_RCOND)[0] / scale
         out = g.copy()
         flat = out.ravel()
         for a in range(0, flat.size, _MIX_BLOCK):
-            flat[a:a + _MIX_BLOCK] -= coef @ maps[:, a:a + _MIX_BLOCK].astype(np.float64)
+            flat[a:a + _MIX_BLOCK] -= coef @ self._doubles(self.d_map, a)
         return out
 
 
@@ -520,44 +570,59 @@ def _merge_duplicate_words(s: _Step):
     Two rows that close in max-norm project onto a ±1 sign vector within
     U * DUPLICATE_ROW_TOL of each other (U features), so only pairs whose
     projections lie within twice that, which covers the rounding of the
-    projections, are compared. Each group's root is its smallest word, so
-    the groups do not depend on the order in which the pairs are found.
+    projections, are candidates. A candidate must also agree within the
+    tolerance on the _SCREEN_FEATURES features of widest spread; the pairs
+    that do are compared in full. Pairs already in one group are skipped,
+    and no step takes more than _BLOCK_ENTRIES differences at once. Each
+    group is named by its smallest word, so the groups do not depend on the
+    order in which the pairs are found.
     """
     k = s.q.shape[1]
     if k <= 1:
         return None
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     mhat = s.mhat
     n_u = mhat.shape[1]
     proj = mhat @ np.resize([1.0, -1.0], n_u)
     order = np.argsort(proj)
     proj = proj[order]
     ends = np.searchsorted(proj, proj + 2 * n_u * DUPLICATE_ROW_TOL, side="right")
-    for a in np.nonzero(ends > np.arange(1, k + 1))[0]:  # some row follows in the window
-        i, others = order[a], order[a + 1:ends[a]]
-        close = others[np.max(np.abs(mhat[others] - mhat[i]), axis=1) < DUPLICATE_ROW_TOL]
-        for j in close:
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    roots = [find(i) for i in range(k)]
-    if len(set(roots)) == k:
+    # the candidates of sorted position a are the pairs (a, b), a < b < ends[a]
+    counts = ends - np.arange(1, k + 1)
+    total = np.cumsum(counts)
+    wide = mhat[:, np.argsort(np.ptp(mhat, axis=0))[-_SCREEN_FEATURES:]].T
+    group = np.arange(k)
+    step = max(1, _BLOCK_ENTRIES // n_u)
+    lo = 0
+    while lo < k:
+        # positions from lo whose candidates fill at most one screen
+        hi = max(lo + 1, int(np.searchsorted(
+            total, total[lo] - counts[lo] + _BLOCK_ENTRIES // _SCREEN_FEATURES, side="right")))
+        c = counts[lo:hi]
+        first = np.repeat(np.arange(lo, hi), c)
+        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(c) - c, c)
+        i, j = order[first], order[second]
+        # a pair already in one group cannot change the groups
+        near = group[i] != group[j]
+        for col in wide:
+            near &= np.abs(col[i] - col[j]) < DUPLICATE_ROW_TOL
+        i, j = i[near], j[near]
+        while i.size:
+            bi, bj, i, j = i[:step], j[:step], i[step:], j[step:]
+            close = np.max(np.abs(mhat[bi] - mhat[bj]), axis=1) < DUPLICATE_ROW_TOL
+            if close.any():
+                for wi, wj in zip(bi[close], bj[close]):
+                    low, high = sorted((group[wi], group[wj]))
+                    group[group == high] = low
+                apart = group[i] != group[j]
+                i, j = i[apart], j[apart]
+        lo = hi
+    names = np.flatnonzero(group == np.arange(k))  # np.unique would import numpy.ma
+    if names.size == k:
         return None
-    groups: dict[int, list[int]] = {}
-    for i, r in enumerate(roots):
-        groups.setdefault(r, []).append(i)
-    order = sorted(groups)  # keep original column order via lowest member index
     cols = []
     reps = []
-    for r in order:
-        members = groups[r]
+    for name in names:
+        members = np.flatnonzero(group == name)
         cols.append(s.q[:, members].sum(axis=1))
         reps.append(members[int(np.argmax(s.qw[members]))])
     return np.stack(cols, axis=1), s.labels[reps]

@@ -3,7 +3,7 @@
     export PYTHONPATH=src
     python tests/sweep_digest.py --space space.csv --need prior.csv \\
         --beta-max 1024 --num-betas 12 --out after.json
-    python tests/sweep_digest.py --compare before.json after.json
+    python tests/sweep_digest.py --compare before.json after.json [--identical]
 
 A digest file maps each grid (space, need, beta_max x num_betas, solver
 defaults) to the evaluations its frontier records, those of every solve of
@@ -13,7 +13,9 @@ points, the largest gap of a point's F above the lowest line C_j - beta A_j
 of any recorded point, C, A and effective_k per point, and the bytes and
 sha256 of the saved frontier files. ``--compare`` prints per grid the
 largest |dC| and |dA|, the effective_k flips, the evaluations, the gaps and
-whether the hashes match, and exits 1 on a flip.
+whether the hashes match, and exits 1 on a flip. With ``--identical`` it
+also exits 1 when a grid's hashes or evaluation counts differ: the gate of a
+change that must keep every bit.
 """
 
 import argparse
@@ -70,15 +72,20 @@ def digest(space_path: str, need: str, beta_max: float, num_betas: int) -> dict:
             "sha256": hashlib.sha256(b"\0".join(b"\0".join(f) for f in files)).hexdigest()}
 
 
-def compare(before: dict, after: dict) -> int:
-    flipped = False
+_EVALUATION_COUNTS = ("evaluations", "all_solve_evaluations", "chain_evaluations")
+
+
+def compare(before: dict, after: dict, identical: bool = False) -> int:
+    failed = False
     for grid in sorted(before.keys() & after.keys()):
         a, b = before[grid], after[grid]
         dc, da = (float(np.max(np.abs(np.subtract(a[key], b[key]))))
                   for key in ("complexity_bits", "accuracy_bits"))
         flips = [f"{beta:.6g}" for beta, ka, kb in zip(a["beta"], a["effective_k"],
                                                         b["effective_k"]) if ka != kb]
-        flipped |= bool(flips)
+        same = a["sha256"] == b["sha256"] and all(a.get(key) == b.get(key)
+                                                  for key in _EVALUATION_COUNTS)
+        failed |= bool(flips) or (identical and not same)
         print(f"{grid}: max|dC| {dc:.3g}, max|dA| {da:.3g}, effective_k flips at "
               f"[{', '.join(flips)}], evaluations {a['evaluations']} -> {b['evaluations']}, "
               f"all solves {a.get('all_solve_evaluations')} -> "
@@ -86,12 +93,14 @@ def compare(before: dict, after: dict) -> int:
               f"{b['unconverged']}, envelope gap {a.get('envelope_gap_bits', float('nan')):.3g}"
               f" -> {b.get('envelope_gap_bits', float('nan')):.3g} bits, "
               f"hashes {'match' if a['sha256'] == b['sha256'] else 'differ'}")
-    return int(flipped)
+    return int(failed)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
+    parser.add_argument("--identical", action="store_true",
+                        help="with --compare, also exit 1 when hashes or evaluation counts differ")
     parser.add_argument("--space")
     parser.add_argument("--need", default="uniform")
     parser.add_argument("--beta-max", type=float, default=1024.0)
@@ -100,7 +109,8 @@ def main(argv=None) -> int:
                                       "of the same grid, instead of printing it")
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*(json.loads(Path(p).read_text()) for p in args.compare))
+        return compare(*(json.loads(Path(p).read_text()) for p in args.compare),
+                       identical=args.identical)
     if args.space is None:
         parser.error("--space is required without --compare")
     out = {f"{args.space} {args.need} {args.beta_max:g}x{args.num_betas}":

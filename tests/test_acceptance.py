@@ -28,6 +28,7 @@ from ibnaming.ingest import read_feature_table, read_naming_counts, read_similar
 
 import oracle
 import regen_golden
+import sweep_digest
 from conftest import FIXTURES, GOLDEN
 from helpers import continued_ca_move, fixed_point_delta, random_space, random_system
 
@@ -433,3 +434,19 @@ def test_golden_compare_counts_every_change(tmp_path, monkeypatch, capsys):
              "labels": ["b"]}
     assert regen_golden.compare("x.json", moved, None, None) == 2
     assert capsys.readouterr().out.splitlines()[-1] == "  2 changed"
+
+
+def test_sweep_digest_identical_gate(capsys):
+    # --compare exits 1 on an effective_k flip; --identical also on a hash
+    # or an evaluation count that moved
+    grid = {"beta": [0.0, 1.0], "effective_k": [1, 2], "complexity_bits": [0.0, 0.5],
+            "accuracy_bits": [0.0, 0.25], "evaluations": 9, "all_solve_evaluations": 12,
+            "chain_evaluations": 9, "unconverged": 0, "envelope_gap_bits": 0.0,
+            "sha256": "ab"}
+    before = {"g": grid}
+    for change, flipped in (({}, False), ({"sha256": "cd"}, False),
+                            ({"chain_evaluations": 10}, False), ({"effective_k": [1, 3]}, True)):
+        after = {"g": grid | change}
+        assert sweep_digest.compare(before, after) == int(flipped)
+        assert sweep_digest.compare(before, after, identical=True) == int(bool(change))
+    capsys.readouterr()

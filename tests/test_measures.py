@@ -16,6 +16,7 @@ from ibnaming import (
     ib_objective,
     kl_divergence,
 )
+from ibnaming.measures import LOG_ZERO, _log
 from helpers import identity_system, random_space, random_system, single_word_system
 
 
@@ -24,6 +25,39 @@ def make_space(reps, need):
     labels = tuple(f"m{i}" for i in range(n_m))
     return MeaningSpace.create(reps, tuple(f"u{i}" for i in range(n_u)), labels,
                                Distribution.create(need, labels))
+
+
+class TestLog:
+    """_log takes the plain log when no entry is zero, NaN or negative, and
+    gives the bits of the masked form either way."""
+
+    @staticmethod
+    def masked(a):
+        out = np.full(a.shape, LOG_ZERO)
+        np.log(a, out=out, where=a > 0)
+        return out
+
+    @pytest.mark.parametrize("case", ["positive", "zeros", "nan", "negative", "stack"])
+    def test_same_bits_as_masked_form(self, rng, case):
+        # magnitudes from subnormal to huge
+        a = np.exp(rng.uniform(-744.0, 709.0, (113, 757)))
+        if case == "zeros":
+            a[rng.random(a.shape) < 0.3] = 0.0
+        elif case == "nan":
+            a[5, 17] = np.nan
+        elif case == "negative":
+            a[9, 3] = -0.5
+        elif case == "stack":
+            a = rng.dirichlet(np.ones(50), size=(4, 30))
+        assert _log(a).tobytes() == self.masked(a).tobytes()
+
+    def test_nan_and_zero_map_to_log_zero(self):
+        out = _log(np.array([0.5, np.nan, 0.0, -0.0]))
+        assert out[0] == np.log(0.5)
+        assert list(out[1:]) == [LOG_ZERO] * 3
+
+    def test_empty(self):
+        assert _log(np.zeros((0, 3))).shape == (0, 3)
 
 
 class TestEntropy:

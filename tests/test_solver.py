@@ -1,3 +1,4 @@
+import json
 import warnings
 import weakref
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from ibnaming import solver
 from ibnaming.solver import (
     _ANDERSON_DEPTH,
     _MIX_BLOCK,
+    _SCREEN_FEATURES,
     _WEIGHT_DRIFT,
     DEFAULT_CATEGORY_MASS_THRESHOLD,
     DUPLICATE_ROW_TOL,
@@ -93,10 +95,13 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs, message", [
         ({"beta_grid": ()}, "beta_grid is empty"),
         ({"beta_grid": (1.0,), "max_iterations": 0}, "max_iterations must be >= 1, got 0"),
+        *(({"beta_grid": (1.0,), "max_iterations": value},
+           f"max_iterations must be an integer, got {value!r}")
+          for value in (2.5, True, np.float64(50.0))),
         *(({"beta_grid": (1.0,), "mass_prune_threshold": value},
            "mass_prune_threshold must be finite and >= 0") for value in (-1e-5, np.nan, np.inf)),
-    ], ids=["empty-grid", "no-iterations", "negative-threshold", "nan-threshold",
-            "inf-threshold"])
+    ], ids=["empty-grid", "no-iterations", "fractional-iterations", "bool-iterations",
+            "float-iterations", "negative-threshold", "nan-threshold", "inf-threshold"])
     def test_field_messages(self, kwargs, message):
         with pytest.raises(ValidationError) as caught:
             SolverConfig(**kwargs)
@@ -112,6 +117,15 @@ class TestSolverConfig:
         old = cfg.to_dict() | {"restarts": 0, "seed": 0, "anneal_direction": "high-to-low",
                                "max_clusters": None}
         assert SolverConfig.from_dict(old) == cfg
+
+    def test_numpy_scalars_become_python_numbers(self):
+        # frontier_meta.json records both fields, and json cannot write numpy scalars
+        cfg = SolverConfig(beta_grid=(0.0, 1.0), max_iterations=np.int64(50),
+                           mass_prune_threshold=np.float32(1e-5))
+        assert type(cfg.max_iterations) is int and cfg.max_iterations == 50
+        assert type(cfg.mass_prune_threshold) is float
+        assert cfg.mass_prune_threshold == float(np.float32(1e-5))
+        assert SolverConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_tolerance_is_accepted_and_ignored(self):
         cfg = SolverConfig(beta_grid=(1.0,), convergence_tol=1e-300)
@@ -462,19 +476,24 @@ class TestDuplicateWords:
 
     @staticmethod
     def merged(rng, mhat):
+        """Check the merge against every pair compared, with the default
+        blocks and with blocks of one pair."""
         k = mhat.shape[0]
         step = SimpleNamespace(q=rng.dirichlet(np.ones(k), size=7), mhat=mhat,
                                qw=rng.dirichlet(np.ones(k)), labels=np.arange(k) + 100)
         groups = _all_pairs_groups(mhat)
-        result = _merge_duplicate_words(step)
-        if len(groups) == k:
-            assert result is None
-        else:
-            cols, labels = result
-            expected = np.stack([step.q[:, g].sum(axis=1) for g in groups], axis=1)
-            assert cols.tobytes() == expected.tobytes()
-            assert list(labels) == [step.labels[g[int(np.argmax(step.qw[g]))]]
-                                    for g in groups]
+        for entries in (solver._BLOCK_ENTRIES, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, "_BLOCK_ENTRIES", entries)
+                result = _merge_duplicate_words(step)
+            if len(groups) == k:
+                assert result is None
+            else:
+                cols, labels = result
+                expected = np.stack([step.q[:, g].sum(axis=1) for g in groups], axis=1)
+                assert cols.tobytes() == expected.tobytes()
+                assert list(labels) == [step.labels[g[int(np.argmax(step.qw[g]))]]
+                                        for g in groups]
         return groups
 
     @staticmethod
@@ -520,6 +539,52 @@ class TestDuplicateWords:
     def test_all_rows_equal(self, rng):
         mhat = np.tile(rng.dirichlet(np.ones(6)), (9, 1))
         assert self.merged(rng, mhat) == [list(range(9))]
+
+    @staticmethod
+    def level_rows(rng, k, n_u, step):
+        """k rows whose projections onto the ±1 sign vector all coincide:
+        each raises a base row on two features of opposite sign."""
+        mhat = np.tile(rng.dirichlet(np.ones(n_u)), (k, 1))
+        pairs = rng.integers(n_u // 2, size=k)
+        mhat[np.arange(k), 2 * pairs] += step
+        mhat[np.arange(k), 2 * pairs + 1] += step
+        return mhat
+
+    def test_every_pair_a_candidate(self, rng):
+        n_u = 40
+        mhat = self.level_rows(rng, 60, n_u, 1e-3 * rng.random(60))
+        mhat[[7, 31, 44]] = mhat[12] + 0.5 * DUPLICATE_ROW_TOL
+        proj = mhat @ np.resize([1.0, -1.0], n_u)
+        assert np.ptp(proj) < 2 * n_u * DUPLICATE_ROW_TOL
+        groups = self.merged(rng, mhat)
+        assert self.same_group(groups, 7, 12, 31, 44)
+        assert len(groups) == 57
+
+    def test_wide_features_agree_but_not_the_rest(self, rng):
+        # the screen passes these pairs; only the full rows tell them apart
+        n_u = 30
+        mhat = 0.02 + 1e-3 * rng.random((40, n_u))
+        mhat[:, :_SCREEN_FEATURES] = rng.random((40, _SCREEN_FEATURES))
+        for i, j in ((1, 2), (5, 9), (20, 33)):
+            mhat[j] = mhat[i]
+            mhat[j, _SCREEN_FEATURES + j % 5] += 3 * DUPLICATE_ROW_TOL
+        mhat[25] = mhat[26] + 0.5 * DUPLICATE_ROW_TOL
+        groups = self.merged(rng, mhat)
+        assert not any(self.same_group(groups, *pair) for pair in ((1, 2), (5, 9), (20, 33)))
+        assert self.same_group(groups, 25, 26)
+
+    def test_group_chained_across_blocks(self, rng):
+        # neighbours within the tolerance, next-but-one neighbours not: the
+        # group is one chain of 49 close pairs, which blocks of one pair
+        # join one at a time
+        n_chain = 50
+        mhat = rng.dirichlet(np.ones(20), size=n_chain + 10)
+        chain = rng.permutation(n_chain + 10)[:n_chain]
+        mhat[chain] = mhat[chain[0]]
+        mhat[chain, 0] += 0.6 * DUPLICATE_ROW_TOL * np.arange(n_chain)
+        groups = self.merged(rng, mhat)
+        assert self.same_group(groups, *chain)
+        assert len(groups) == 11
 
 
 class TestFixedPoint:
@@ -567,6 +632,53 @@ class TestFixedPoint:
         for space, front in ((c_space, c_front), regen_golden.animal_pipeline()):
             for point in front.points:
                 assert continued_ca_move(space, point) < 1e-11, f"beta={point.beta}"
+
+
+class TestRoundOffBound:
+    """The exact rounding-error norm is computed only when the residual is
+    within its bound; the bound never lies below it, so no stop changes."""
+
+    @staticmethod
+    def recording(monkeypatch) -> list[tuple]:
+        """Record (residual, round_off, bound, exact, clamped) for every
+        evaluation, recomputing the bound and the exact norm of each step."""
+        seen = []
+        plain_update = solver._plain_update
+
+        def checked(ws, x, labels, beta, prune):
+            s = plain_update(ws, x, labels, beta, prune)
+            dist = solver._distortion(ws.reps, ws.self_nats, solver._log(s.mhat))
+            log_qw = np.log(s.qw)
+            clamped = np.max(np.abs(dist)) + ws.self_max > 1e100
+            bound = solver._round_off_bound(ws, dist, log_qw, beta)
+            exact = solver._round_off(ws, s.weights, dist, log_qw, beta)
+            seen.append((s.residual, s.round_off, bound, exact, clamped))
+            return s
+
+        monkeypatch.setattr(solver, "_plain_update", checked)
+        return seen
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_bound_is_never_below_the_exact_norm(self, rng, monkeypatch, sparse):
+        seen = self.recording(monkeypatch)
+        for beta in (0.0, 1.0, 64.0, 8192.0):
+            for _ in range(3):
+                space = random_space(rng, 7, 9, sparse=sparse)
+                solve_at_beta(space, beta, identity_system(space), small_config((beta,)))
+        assert len(seen) > 24  # more than one evaluation per solve
+        assert all(bound >= exact for _, _, bound, exact, _ in seen)
+        # reconstructions with exact zeros put LOG_ZERO terms in the distortion
+        assert any(clamped for *_, clamped in seen) == sparse
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_sweep_stops_as_with_the_exact_norm(self, rng, monkeypatch, sparse):
+        seen = self.recording(monkeypatch)
+        anneal_frontier(random_space(rng, 8, 10, sparse=sparse),
+                        small_config(default_beta_grid(64, 15)))
+        assert all((res <= round_off) == (res <= exact) for res, round_off, _, exact, _ in seen)
+        # the exact norm is the one stored whenever it was computed
+        within = [round_off == exact for res, round_off, bound, exact, _ in seen if res <= bound]
+        assert all(within) and 0 < len(within) < len(seen)
 
 
 class TestAnderson:
