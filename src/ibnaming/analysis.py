@@ -146,7 +146,7 @@ class _StackFit:
         eps = (c[:, None] - self.betas * a[:, None] - self.objectives) / self.betas
         best = self.index[np.argmin(eps, axis=1)]
         g = np.empty(len(enc))
-        for i in np.unique(best):
+        for i in np.flatnonzero(np.bincount(best)):  # np.unique would import numpy.ma
             rows = best == i
             matched = self.points[i].encoder.encoder
             if i not in self.self_information:

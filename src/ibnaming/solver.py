@@ -82,7 +82,8 @@ _WEIGHT_DRIFT = 4.0
 # betas to 1024, 2-vCPU host) the sweep then needs 1024 evaluations instead of
 # 1060, but 2.45 s instead of 1.72 s (median of 5).
 _DUPLICATE_CHECK = 16
-# A mixed step may raise F by this share of |C| + beta |A| (rounding of F).
+# The rounding of F, as a share of |C| + beta |A|: a mixed step may raise F
+# by this much, and a recorded line must beat a point by more to repair it.
 _F_SLACK = 64 * _EPS
 # The duplicate-word screen: features compared before a candidate pair's
 # full rows, and the differences taken at once (128 KB), which bounds the
@@ -218,14 +219,22 @@ class Frontier:
             errors.append("points are not sorted by strictly increasing beta")
         c = np.array([p.complexity_bits for p in self.points])
         a = np.array([p.accuracy_bits for p in self.points])
-        for i in range(len(b)):  # one row at a time: an n x n array is 72 MB at 3000 points
-            lines = c - b[i] * a
-            j = int(np.argmin(lines))
-            gap = c[i] - b[i] * a[i] - lines[j]
+        for i in range(len(b)):
+            j, low = _lowest_line(c, a, b[i])
+            gap = c[i] - b[i] * a[i] - low
             if gap > _FRONTIER_SLACK:
                 errors.append(f"point at beta={b[i]:.6g} lies {gap:.3g} bits above the line "
                               f"of the point at beta={b[j]:.6g}")
         return errors
+
+
+def _lowest_line(c: np.ndarray, a: np.ndarray, beta: float) -> tuple[int, float]:
+    """Index and value of the lowest of the lines C_j - beta * A_j at one
+    beta: the best recorded encoder there. One row at a time, as its callers
+    take it; an n x n array of all rows is 72 MB at 3000 points."""
+    lines = c - beta * a
+    j = int(np.argmin(lines))
+    return j, float(lines[j])
 
 
 def _check_space(fingerprint: str, space: MeaningSpace) -> None:
@@ -500,7 +509,7 @@ def _fixed_point_loop(ws: _Workspace, init: NamingSystem, beta: float,
                       config: SolverConfig) -> FrontierPoint:
     """Iterate the update map at one beta from the encoder ``init`` and
     return the recorded point: the one solve of ``solve_at_beta`` and of
-    both passes of ``anneal_frontier``.
+    the sweep and its repairs in ``anneal_frontier``.
 
     Steps are Anderson-mixed once a history exists. One rule keeps F from
     rising: a step that raises F above the previous point's F, beyond its
@@ -655,7 +664,8 @@ def solve_at_beta(space: MeaningSpace, beta: float, init: NamingSystem,
 
 def anneal_frontier(space: MeaningSpace, config: SolverConfig) -> Frontier:
     """Sweep the beta grid from high to low, starting each beta from the
-    point just recorded at its neighbour.
+    point just recorded at its neighbour, then repair the points that the
+    frontier's own envelope beats.
 
     The sweep starts from the identity encoder at the largest beta, where
     the optimum is near-deterministic, and tracks the solution branch
@@ -664,29 +674,45 @@ def anneal_frontier(space: MeaningSpace, config: SolverConfig) -> Frontier:
     A single sweep shows hysteresis (Zaslavsky & Tishby, 2019): it crosses
     cluster-merge transitions late, and on sparse spaces it can keep words
     whose supports the update cannot merge, a metastable branch with F far
-    above the optimum. So one reverse pass follows, from low to high beta:
-    it re-solves every beta from the final point below and keeps the
-    candidate when its objective is lower, so each point is the better of
-    the two branches that reach it. Every solve is ``solve_at_beta`` from a
-    recorded encoder, so the frontier is exactly that call chained down the
-    grid from the identity and back up.
+    above the optimum. Every recorded encoder j is feasible at every beta,
+    where its F is the line C_j - beta * A_j. So, going up the grid, a point
+    that the lowest line at its beta beats by more than F's rounding is
+    solved again from that line's encoder, and the result replaces it when
+    its F is lower; a repaired point's line can repair those above it.
+    Rounds repeat until none keeps a repair. Each kept repair lowers an F,
+    and a point is solved from one recorded encoder at most once, so the
+    repair ends whether or not its solves converge. Every solve is ``solve_at_beta`` from a recorded
+    encoder, so the frontier is that call chained down the grid from the
+    identity and then from the lines that beat a point.
     """
     ws = _Workspace.for_space(space)
     n_m = space.num_meanings
     seed = NamingSystem(np.eye(n_m), tuple(f"w{i:03d}" for i in range(n_m)),
                         space.meaning_labels)
-    primary = []  # from the largest beta down
-    for beta in reversed(config.beta_grid):
-        primary.append(_fixed_point_loop(ws, seed, beta, config))
-        seed = primary[-1].encoder
     points = []
-    for beta in config.beta_grid:  # the reverse pass
-        point = primary.pop()
-        if points:
-            cand = _fixed_point_loop(ws, points[-1].encoder, beta, config)
-            if cand.objective_bits < point.objective_bits - 1e-15:
-                point = cand
-        points.append(point)
+    for beta in reversed(config.beta_grid):
+        points.append(_fixed_point_loop(ws, seed, beta, config))
+        seed = points[-1].encoder
+    points.reverse()
+    c = np.array([p.complexity_bits for p in points])
+    a = np.array([p.accuracy_bits for p in points])
+    version = [0] * len(points)  # kept repairs of each point
+    tried = set()  # (point, seed point, its version) of each repair solve
+    repaired = True
+    while repaired:
+        repaired = False
+        for i, beta in enumerate(config.beta_grid):
+            j, low = _lowest_line(c, a, beta)
+            rounding = _F_SLACK * (abs(c[i]) + beta * abs(a[i]))
+            if points[i].objective_bits - low <= rounding or (i, j, version[j]) in tried:
+                continue
+            tried.add((i, j, version[j]))
+            cand = _fixed_point_loop(ws, points[j].encoder, beta, config)
+            if cand.objective_bits < points[i].objective_bits:
+                points[i] = cand
+                c[i], a[i] = cand.complexity_bits, cand.accuracy_bits
+                version[i] += 1
+                repaired = True
     return Frontier(tuple(points), space.fingerprint, config)
 
 

@@ -6,16 +6,17 @@
     python tests/sweep_digest.py --compare before.json after.json [--identical]
 
 A digest file maps each grid (space, need, beta_max x num_betas, solver
-defaults) to the evaluations its frontier records, those of every solve of
-the sweep (losing reverse-pass candidates included), those of
-``solve_at_beta`` chained down the grid from the identity, the unconverged
-points, the largest gap of a point's F above the lowest line C_j - beta A_j
-of any recorded point, C, A and effective_k per point, and the bytes and
-sha256 of the saved frontier files. ``--compare`` prints per grid the
-largest |dC| and |dA|, the effective_k flips, the evaluations, the gaps and
-whether the hashes match, and exits 1 on a flip. With ``--identical`` it
-also exits 1 when a grid's hashes or evaluation counts differ: the gate of a
-change that must keep every bit.
+defaults) to the evaluations its frontier records, the number of repair
+solves (every solve after the primary pass down the grid, kept or not) and
+their evaluations, the evaluations of ``solve_at_beta`` chained down the
+grid from the identity, the unconverged points, the largest gap of a
+point's F above the lowest line C_j - beta A_j of any recorded point, C, A
+and effective_k per point, and the bytes and sha256 of the saved frontier
+files. ``--compare`` prints per grid the largest |dC| and |dA|, the largest
+rise of a point's F, the effective_k flips, the evaluations, the repair
+solves, the gaps and whether the hashes match, and exits 1 on a flip. With
+``--identical`` it also exits 1 when a grid's hashes or evaluation counts
+differ: the gate of a change that must keep every bit.
 """
 
 import argparse
@@ -64,15 +65,18 @@ def digest(space_path: str, need: str, beta_max: float, num_betas: int) -> dict:
               for key in ("beta", "effective_k", "complexity_bits", "accuracy_bits")}
     c, a = np.array(column["complexity_bits"]), np.array(column["accuracy_bits"])
     gap = max(ci - b * ai - np.min(c - b * a) for b, ci, ai in zip(column["beta"], c, a))
+    repairs = solves[len(config.beta_grid):]
     return {"evaluations": sum(p.iterations for p in front.points),
-            "all_solve_evaluations": sum(solves), "chain_evaluations": chain,
+            "repair_solves": len(repairs), "repair_evaluations": sum(repairs),
+            "chain_evaluations": chain,
             "unconverged": sum(not p.converged for p in front.points),
             "envelope_gap_bits": float(gap), **column,
             "frontier_bytes": sum(len(data) for _, data in files),
             "sha256": hashlib.sha256(b"\0".join(b"\0".join(f) for f in files)).hexdigest()}
 
 
-_EVALUATION_COUNTS = ("evaluations", "all_solve_evaluations", "chain_evaluations")
+_EVALUATION_COUNTS = ("evaluations", "repair_solves", "repair_evaluations",
+                      "chain_evaluations")
 
 
 def compare(before: dict, after: dict, identical: bool = False) -> int:
@@ -81,15 +85,19 @@ def compare(before: dict, after: dict, identical: bool = False) -> int:
         a, b = before[grid], after[grid]
         dc, da = (float(np.max(np.abs(np.subtract(a[key], b[key]))))
                   for key in ("complexity_bits", "accuracy_bits"))
+        betas = np.array(a["beta"])
+        rise = float(np.max(np.subtract(b["complexity_bits"], betas * b["accuracy_bits"])
+                            - np.subtract(a["complexity_bits"], betas * a["accuracy_bits"])))
         flips = [f"{beta:.6g}" for beta, ka, kb in zip(a["beta"], a["effective_k"],
                                                         b["effective_k"]) if ka != kb]
         same = a["sha256"] == b["sha256"] and all(a.get(key) == b.get(key)
                                                   for key in _EVALUATION_COUNTS)
         failed |= bool(flips) or (identical and not same)
-        print(f"{grid}: max|dC| {dc:.3g}, max|dA| {da:.3g}, effective_k flips at "
-              f"[{', '.join(flips)}], evaluations {a['evaluations']} -> {b['evaluations']}, "
-              f"all solves {a.get('all_solve_evaluations')} -> "
-              f"{b.get('all_solve_evaluations')}, unconverged {a['unconverged']} -> "
+        print(f"{grid}: max|dC| {dc:.3g}, max|dA| {da:.3g}, max F rise {rise:.3g}, "
+              f"effective_k flips at [{', '.join(flips)}], evaluations {a['evaluations']} -> "
+              f"{b['evaluations']}, repair solves {a.get('repair_solves')} -> "
+              f"{b.get('repair_solves')} ({a.get('repair_evaluations')} -> "
+              f"{b.get('repair_evaluations')} evaluations), unconverged {a['unconverged']} -> "
               f"{b['unconverged']}, envelope gap {a.get('envelope_gap_bits', float('nan')):.3g}"
               f" -> {b.get('envelope_gap_bits', float('nan')):.3g} bits, "
               f"hashes {'match' if a['sha256'] == b['sha256'] else 'differ'}")

@@ -440,13 +440,19 @@ def test_sweep_digest_identical_gate(capsys):
     # --compare exits 1 on an effective_k flip; --identical also on a hash
     # or an evaluation count that moved
     grid = {"beta": [0.0, 1.0], "effective_k": [1, 2], "complexity_bits": [0.0, 0.5],
-            "accuracy_bits": [0.0, 0.25], "evaluations": 9, "all_solve_evaluations": 12,
-            "chain_evaluations": 9, "unconverged": 0, "envelope_gap_bits": 0.0,
-            "sha256": "ab"}
+            "accuracy_bits": [0.0, 0.25], "evaluations": 9, "repair_solves": 1,
+            "repair_evaluations": 3, "chain_evaluations": 9, "unconverged": 0,
+            "envelope_gap_bits": 0.0, "sha256": "ab"}
     before = {"g": grid}
     for change, flipped in (({}, False), ({"sha256": "cd"}, False),
-                            ({"chain_evaluations": 10}, False), ({"effective_k": [1, 3]}, True)):
+                            ({"chain_evaluations": 10}, False), ({"repair_evaluations": 4}, False),
+                            ({"effective_k": [1, 3]}, True)):
         after = {"g": grid | change}
         assert sweep_digest.compare(before, after) == int(flipped)
         assert sweep_digest.compare(before, after, identical=True) == int(bool(change))
     capsys.readouterr()
+    # the repair solves and the largest rise of F are printed
+    sweep_digest.compare(before, {"g": grid | {"repair_solves": 2, "repair_evaluations": 4,
+                                               "complexity_bits": [0.0, 0.75]}})
+    out = capsys.readouterr().out
+    assert "max F rise 0.25," in out and "repair solves 1 -> 2 (3 -> 4 evaluations)" in out

@@ -1,6 +1,10 @@
 import dataclasses
 import os
 import signal
+import subprocess
+import textwrap
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
@@ -122,6 +126,29 @@ class TestFitBeta:
         assert beta_zero.points[0].beta == 0
         with pytest.raises(ValidationError, match="frontier has no points with beta > 0"):
             fit_beta(sys, space, beta_zero)
+
+    def test_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma: 1.1 MB on the first fit of an eval or
+        # baseline process
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import ibnaming as ib
+            labels = ("m0", "m1", "m2")
+            reps = np.array([[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.2, 0.7]])
+            space = ib.MeaningSpace.create(reps, ("u0", "u1", "u2"), labels,
+                                           ib.Distribution.uniform(labels))
+            front = ib.anneal_frontier(space, ib.SolverConfig(ib.default_beta_grid(16, 5)))
+            system = ib.NamingSystem.create(np.eye(3), ("a", "b", "c"), labels)
+            print("numpy.ma" in sys.modules, end=" ")
+            ib.fit_beta(system, space, front)
+            print("numpy.ma" in sys.modules)
+        """)
+        src = str(Path(analysis.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert done.stdout == "False False\n", done.stderr
 
     def test_json_dict_is_serializable(self, rng):
         import json

@@ -28,6 +28,7 @@ from ibnaming import (
 from ibnaming import solver
 from ibnaming.solver import (
     _ANDERSON_DEPTH,
+    _F_SLACK,
     _MIX_BLOCK,
     _SCREEN_FEATURES,
     _WEIGHT_DRIFT,
@@ -35,6 +36,7 @@ from ibnaming.solver import (
     DUPLICATE_ROW_TOL,
     _Anderson,
     _category_count,
+    _lowest_line,
     _merge_duplicate_words,
 )
 from helpers import (continued_ca_move, fixed_point_delta, identity_system, random_space,
@@ -44,6 +46,46 @@ from helpers import (continued_ca_move, fixed_point_delta, identity_system, rand
 def small_config(grid, **kwargs):
     kwargs.setdefault("max_iterations", 8000)
     return SolverConfig(beta_grid=tuple(grid), **kwargs)
+
+
+def sparse_space(seed: int) -> MeaningSpace:
+    """A random sparse space of 3 to 6 meanings and 3 to 7 features."""
+    r = np.random.default_rng(seed)
+    return random_space(r, int(r.integers(3, 7)), int(r.integers(3, 8)), sparse=True)
+
+
+def replayed_sweep(space: MeaningSpace, config: SolverConfig):
+    """``anneal_frontier`` through public calls: ``solve_at_beta`` down the
+    grid from the identity, then rounds up the grid that solve each point
+    again from the encoder of the lowest recorded line at its beta, when that
+    line beats its F by more than F's rounding and the point was not solved
+    from that encoder before, keeping results with a lower F, until a round
+    keeps none. Returns the primary points, the final points and the number
+    of repair solves."""
+    n = space.num_meanings
+    init = NamingSystem.create(np.eye(n), tuple(f"w{i:03d}" for i in range(n)),
+                               space.meaning_labels)
+    primary = []
+    for beta in reversed(config.beta_grid):
+        primary.append(solve_at_beta(space, beta, init, config))
+        init = primary[-1].encoder
+    primary.reverse()
+    points, tried, kept = list(primary), [], True
+    while kept:
+        kept = False
+        for i, beta in enumerate(config.beta_grid):
+            lines = [p.complexity_bits - beta * p.accuracy_bits for p in points]
+            j = int(np.argmin(lines))
+            point, seed = points[i], points[j]
+            rounding = _F_SLACK * (abs(point.complexity_bits) + beta * abs(point.accuracy_bits))
+            if (point.objective_bits - lines[j] <= rounding
+                    or any(t == i and s is seed for t, s in tried)):
+                continue
+            tried.append((i, seed))
+            cand = solve_at_beta(space, beta, seed.encoder, config)
+            if cand.objective_bits < point.objective_bits:
+                points[i], kept = cand, True
+    return primary, points, len(tried)
 
 
 class TestBetaGrid:
@@ -352,36 +394,27 @@ class TestAnnealFrontier:
         monkeypatch.setattr(solver, "_fixed_point_loop", tracked_solve)
         grid = default_beta_grid(16, 6)
         anneal_frontier(random_space(rng, 4, 4), small_config(grid))
-        assert refs and alive == [0] * (2 * len(grid) - 1)
+        assert refs and alive == [0] * len(grid)  # no point needs a repair
 
     def test_sweep_is_solve_at_beta_chained(self):
         # every solve of the sweep starts from an encoder the tool records,
-        # so public solves down the grid from the identity and back up, each
-        # kept when its F is lower, give the same frontier to the bit
-        space = random_space(np.random.default_rng(0))
+        # so public solves down the grid from the identity, then from the
+        # lines that beat a point, give the same frontier to the bit; the
+        # dense space needs no repair, and the rng-9 repair starts from a
+        # 3-word encoder and takes 4 evaluations
         config = SolverConfig(beta_grid=default_beta_grid(64, 15), max_iterations=6000)
-        front = anneal_frontier(space, config)
-        n = space.num_meanings
-        init = NamingSystem.create(np.eye(n), tuple(f"w{i:03d}" for i in range(n)),
-                                   space.meaning_labels)
-        primary = {}
-        for beta in reversed(config.beta_grid):
-            primary[beta] = solve_at_beta(space, beta, init, config)
-            init = primary[beta].encoder
-        chained = []
-        for beta in config.beta_grid:
-            point = primary[beta]
-            if chained:
-                cand = solve_at_beta(space, beta, chained[-1].encoder, config)
-                if cand.objective_bits < point.objective_bits - 1e-15:
-                    point = cand
-            chained.append(point)
-        for got, want in zip(front.points, chained, strict=True):
-            assert ((got.complexity_bits, got.accuracy_bits, got.objective_bits, got.iterations)
-                    == (want.complexity_bits, want.accuracy_bits, want.objective_bits,
-                        want.iterations))
-            assert got.encoder.word_labels == want.encoder.word_labels
-            assert got.encoder.encoder.tobytes() == want.encoder.encoder.tobytes()
+        for space, repairs in ((random_space(np.random.default_rng(0)), 0),
+                               (sparse_space(7), 7), (sparse_space(9), 1)):
+            front = anneal_frontier(space, config)
+            _, chained, solves = replayed_sweep(space, config)
+            assert solves == repairs
+            for got, want in zip(front.points, chained, strict=True):
+                assert ((got.complexity_bits, got.accuracy_bits, got.objective_bits,
+                         got.iterations)
+                        == (want.complexity_bits, want.accuracy_bits, want.objective_bits,
+                            want.iterations))
+                assert got.encoder.word_labels == want.encoder.word_labels
+                assert got.encoder.encoder.tobytes() == want.encoder.encoder.tobytes()
 
     def test_fingerprint_recorded(self, rng):
         space = random_space(rng, 3, 3)
@@ -396,9 +429,34 @@ class TestAnnealFrontier:
             regen_golden.animal_pipeline()
             space = random_space(rng, 5, 6, sparse=True)
             front = anneal_frontier(space, small_config(default_beta_grid(1024, 30)))
-        # the sweep alone keeps support-locked words at low beta; the reverse
-        # pass must bring those points down to the one-word optimum
+        # the primary pass alone keeps support-locked words at low beta; the
+        # repair must bring those points down to the one-word optimum
         assert front.validate() == []
+
+
+class TestLowestLine:
+    # lines C_j - beta * A_j of points at beta 1, 2 and 3
+    c = np.array([1.0, 1.0, 2.0])
+    a = np.array([0.5, 1.0, 1.5])
+
+    def test_beaten_by_a_line_from_a_higher_beta(self):
+        # at beta = 1 the lines are 0.5, 0 and 0.5: the beta = 2 point's
+        # encoder beats the beta = 1 point's own
+        assert _lowest_line(self.c, self.a, 1.0) == (1, 0.0)
+
+    def test_beaten_by_a_line_from_a_lower_beta(self):
+        c, a = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.9, 1.2])
+        j, low = _lowest_line(c, a, 3.0)
+        assert j == 1 and low == pytest.approx(-1.7, abs=1e-15)
+
+    def test_a_tie_goes_to_the_lower_beta(self):
+        # at beta = 2 the lines are 0, -1 and -1
+        assert _lowest_line(self.c, self.a, 2.0) == (1, -1.0)
+
+    def test_validate_names_the_higher_beta(self):
+        front = TestFrontierValidate.frontier((1.0, 2.0, 3.0), self.c, self.a)
+        assert front.validate() == [
+            "point at beta=1 lies 0.5 bits above the line of the point at beta=2"]
 
 
 class TestFrontierValidate:
@@ -443,18 +501,34 @@ class TestFrontierValidate:
             "point at beta=3 lies 0.1 bits above the line of the point at beta=2"]
 
     def test_primary_pass_alone_is_caught(self):
-        # without the reverse pass, this sparse space keeps support-locked
-        # words at low beta, far above the one-word optimum
-        r = np.random.default_rng(7)
-        space = random_space(r, int(r.integers(3, 7)), int(r.integers(3, 8)), sparse=True)
+        # the primary pass alone keeps support-locked words at low beta on
+        # this sparse space, far above the one-word optimum; the repair
+        # brings them down
+        space = sparse_space(7)
         config = SolverConfig(beta_grid=default_beta_grid(64, 15))
-        init, primary = identity_system(space), []
-        for beta in reversed(config.beta_grid):
-            primary.append(solve_at_beta(space, beta, init, config))
-            init = primary[-1].encoder
-        errors = Frontier(tuple(reversed(primary)), space.fingerprint, config).validate()
+        primary, _, _ = replayed_sweep(space, config)
+        errors = Frontier(tuple(primary), space.fingerprint, config).validate()
         assert len(errors) == 7 and " lies 1.2" in " ".join(errors), errors
         assert anneal_frontier(space, config).validate() == []
+
+    @pytest.mark.parametrize("seed, max_iterations", [(7, 30_000), (22, 3)])
+    def test_repair_lowers_f_only(self, seed, max_iterations):
+        # the repair keeps a solve only when it lowers F, and solves a point
+        # from one recorded encoder at most once, so it ends even when its
+        # solves stop at the cap: with 3 evaluations, 17 of the rng-22
+        # repair solves are unconverged and 8 of them are kept
+        space = sparse_space(seed)
+        config = SolverConfig(beta_grid=default_beta_grid(64, 15),
+                              max_iterations=max_iterations)
+        front = anneal_frontier(space, config)
+        primary, _, solves = replayed_sweep(space, config)
+        assert solves > 0
+        for point, first in zip(front.points, primary, strict=True):
+            assert point.objective_bits <= first.objective_bits
+        if max_iterations == 3:
+            assert sum(not p.converged for p in front.points) > 0
+        else:
+            assert front.validate() == []
 
 
 def _all_pairs_groups(mhat: np.ndarray) -> list[list[int]]:
@@ -603,7 +677,7 @@ class TestFixedPoint:
         space = random_space(np.random.default_rng(0))
         anneal_frontier(space, SolverConfig(beta_grid=default_beta_grid(64, 15),
                                             max_iterations=6000))
-        assert len(ends) == 29 and all(converged for converged, _ in ends)
+        assert len(ends) == 15 and all(converged for converged, _ in ends)
         assert all(at_floor for _, at_floor in ends)
 
     def test_one_extra_update_is_stationary(self, rng):
