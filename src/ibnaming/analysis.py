@@ -14,14 +14,12 @@ complexity scores a two-language joint encoder over a language-tagged
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import (
     Distribution,
-    IBNamingError,
     MeaningSpace,
     NamingSystem,
     ValidationError,
@@ -43,6 +41,7 @@ from .solver import (
     _check_space,
     select_most_informative_with_k,
 )
+from .workers import _cpu_count, deal
 
 # Entries of float64 (256 KB) in the largest stacked temporary of a baseline
 # chunk, an (n, k) or (k, U) array per sample. Chunks four times larger are
@@ -265,8 +264,10 @@ def permutation_baseline(sys: NamingSystem, space: MeaningSpace, frontier: Front
     num_chunks = -(-num_samples // chunk)
     procs = min(_cpu_count(), num_chunks)
     bounds = [min(num_samples, r * num_chunks // procs * chunk) for r in range(procs + 1)]
-    eps, gn = np.hstack([run.reshape(2, -1)
-                         for run in _forked_runs(fit_run, list(zip(bounds, bounds[1:])))])
+    runs = list(zip(bounds, bounds[1:]))
+    eps, gn = np.hstack(deal(lambda run: fit_run(*run), runs,
+                             [f"baseline worker for samples {a} to {b - 1}" for a, b in runs],
+                             procs))
     return BaselineSummary(
         num_samples=num_samples,
         inefficiency_mean=float(eps.mean()),
@@ -275,80 +276,6 @@ def permutation_baseline(sys: NamingSystem, space: MeaningSpace, frontier: Front
         gnid_sd=float(gn.std()),
         seed=seed,
     )
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _Child:
-    """A forked process that computes ``fn(*args)``, a float64 array, and
-    sends its bytes back through a pipe; on an exception it sends the message
-    instead and exits 1. The child always ends with ``os._exit``, so it runs
-    no cleanup of the parent's, and ``inherited`` are file objects of the
-    parent's that it closes first."""
-
-    def __init__(self, fn, args, inherited):
-        self.args = args
-        read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(read_fd)
-                for f in inherited:
-                    f.close()
-                with open(write_fd, "wb") as out:
-                    try:
-                        out.write(fn(*args).tobytes())
-                        code = 0
-                    except Exception as e:
-                        out.write(f"{type(e).__name__}: {e}".encode())
-            finally:
-                os._exit(code)
-        os.close(write_fd)
-        self.reader = open(read_fd, "rb")
-        self.exit_code: int | None = None
-
-    def result(self) -> np.ndarray:
-        data = self.reader.read()
-        code = self.reap()
-        if code:
-            why = data.decode(errors="replace") if code > 0 else f"killed by signal {-code}"
-            raise IBNamingError(f"baseline worker for samples {self.args[0]} to "
-                                f"{self.args[1] - 1} failed: {why}")
-        return np.frombuffer(data)
-
-    def reap(self) -> int:
-        """Close the pipe and wait for the child to exit. A child still
-        fitting finishes its run, finds the pipe closed and exits."""
-        self.reader.close()
-        if self.exit_code is None:
-            self.exit_code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        return self.exit_code
-
-
-def _forked_runs(fn, runs: list[tuple]) -> list[np.ndarray]:
-    """``fn(*run)`` for each run, in order: the first in this process, each
-    other in a forked child (``_Child``). Threads would not help, as the draws
-    and the small numpy calls hold the GIL. Every child is reaped before this
-    returns or raises."""
-    children: list[_Child] = []
-    try:
-        for run in runs[1:]:
-            children.append(_Child(fn, run, [c.reader for c in children]))
-        return [fn(*runs[0])] + [c.result() for c in children]
-    finally:
-        for c in children:
-            c.reap()
 
 
 def mixture_complexity(sys_a: NamingSystem, sys_b: NamingSystem, need: Distribution,

@@ -97,7 +97,8 @@ class _Run:
         self.outputs.append(str(path))
         return Path(path)
 
-    def write_manifest(self, path) -> None:
+    def write_manifest(self, path, **extra) -> None:
+        """Write the manifest, with ``extra`` entries of the command's own."""
         _write_json(path, {
             "command": self.command,
             "tool_version": __version__,
@@ -108,6 +109,7 @@ class _Run:
             "inputs": self.inputs,
             "outputs": self.outputs,
             "notes": self.notes,
+            **extra,
         })
 
     def write_manifest_beside(self, output) -> None:
@@ -268,9 +270,12 @@ def frontier(space, need, beta_max, num_betas, max_iterations, out):
                           max_iterations=max_iterations)
     run = _Run()
     front = anneal_frontier(_load_space(run, space, need), config)
+    if not front.sweep["blas_capped"]:
+        run.notes.append("the BLAS thread cap is not available: the sweep ran uncapped, "
+                         "so its bytes may depend on the BLAS thread count")
     for p in save_frontier(front, out).values():
         run.add_output(p)
-    run.write_manifest(Path(out) / "manifest.json")
+    run.write_manifest(Path(out) / "manifest.json", sweep=front.sweep)
     unconverged = [f"{p.beta:.6g}" for p in front.points if not p.converged]
     msg = f"wrote {len(front)} frontier points to {out}"
     if unconverged:

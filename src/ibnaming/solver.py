@@ -4,7 +4,11 @@ across a beta grid.
 There is one solve: it starts from an encoder and returns the point a
 frontier records, with the encoder the tool writes. ``solve_at_beta`` is
 that solve and ``anneal_frontier`` chains it, each beta started from a
-recorded encoder, so public solves reproduce a frontier.
+recorded encoder, so public solves reproduce a frontier. The sweep cuts its
+grid into segments of a few octaves of beta, each chained from the identity
+at its top, and solves them at once, one worker per CPU. Every solve runs
+at one OpenBLAS thread, so a frontier's bytes depend neither on the core
+count nor on the BLAS thread count.
 
 The plain update at a fixed beta alternates three assignments:
 
@@ -37,13 +41,16 @@ intervals during it, and a fresh pass starts on the merged encoder.
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import InitVar, dataclass, fields
+import time
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
 from .core import IBNamingError, MeaningSpace, NamingSystem, ValidationError
 from .measures import _LN2, _accuracy, _align, _complexity, _distortion, _listener, _log
+from .workers import _cpu_count, deal, one_blas_thread
 
 # Words count toward the effective category number when their marginal mass
 # strictly exceeds this.
@@ -90,6 +97,11 @@ _F_SLACK = 64 * _EPS
 # screen's memory when every pair is a candidate.
 _SCREEN_FEATURES = 8
 _BLOCK_ENTRIES = 1 << 14
+# Octaves of beta in one segment of the sweep. Each segment starts from the
+# identity: on the paper container grid (1500 betas to 1024, seed-1 bench
+# instance) 3-octave segments take 164,363 evaluations against 161,766 for
+# one chain, and 68 s on 2 cores against 109 s in one process.
+_SEGMENT_OCTAVES = 3
 
 
 class CategorySelectionError(IBNamingError):
@@ -190,11 +202,17 @@ class FrontierPoint:
 
 @dataclass(frozen=True)
 class Frontier:
-    """Frontier points sorted by beta, bound to one meaning space."""
+    """Frontier points sorted by beta, bound to one meaning space.
+
+    ``sweep`` says how ``anneal_frontier`` ran, for a run manifest: its
+    worker count, whether the BLAS cap took effect, the betas, evaluations
+    and seconds of each segment and the repair's solves. It holds wall
+    times, so it is not saved, and a loaded frontier has None."""
 
     points: tuple[FrontierPoint, ...]
     space_fingerprint: str
     config: SolverConfig
+    sweep: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -649,8 +667,9 @@ def solve_at_beta(space: MeaningSpace, beta: float, init: NamingSystem,
     and return the point a frontier records: the sweep is this solve
     chained, each beta started from an encoder the tool writes.
 
-    No step of the solve raises F beyond its rounding, so the objective of
-    the result never exceeds the objective of ``init``; non-convergence
+    The solve runs at one OpenBLAS thread, as the sweep's do. No step of
+    the solve raises F beyond its rounding, so the objective of the result
+    never exceeds the objective of ``init``; non-convergence
     within the iteration budget is reported through the ``converged`` flag,
     not an exception.
     """
@@ -659,61 +678,105 @@ def solve_at_beta(space: MeaningSpace, beta: float, init: NamingSystem,
     _align(init, space)
     if config is None:
         config = SolverConfig(beta_grid=(float(beta),))
-    return _fixed_point_loop(_Workspace.for_space(space), init, beta, config)
+    with one_blas_thread():
+        return _fixed_point_loop(_Workspace.for_space(space), init, beta, config)
+
+
+def _segments(grid: tuple[float, ...]) -> list[range]:
+    """Index ranges of the sweep's segments, the top one first: the betas of
+    one segment share floor(log2(beta) / _SEGMENT_OCTAVES), and beta = 0
+    joins the lowest. ``frexp`` gives floor(log2(beta)) exactly."""
+    keys = [(math.frexp(b)[1] - 1) // _SEGMENT_OCTAVES if b > 0 else None for b in grid]
+    if keys[0] is None and len(keys) > 1:
+        keys[0] = keys[1]
+    cuts = [0] + [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]] + [len(keys)]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])][::-1]
 
 
 def anneal_frontier(space: MeaningSpace, config: SolverConfig) -> Frontier:
-    """Sweep the beta grid from high to low, starting each beta from the
-    point just recorded at its neighbour, then repair the points that the
-    frontier's own envelope beats.
+    """Sweep the beta grid from high to low in segments, each started from
+    the identity encoder at its top and each beta from the point just
+    recorded above it, then repair the points that the frontier's own
+    envelope beats.
 
-    The sweep starts from the identity encoder at the largest beta, where
-    the optimum is near-deterministic, and tracks the solution branch
-    downward as clusters merge away (deterministic annealing, Rose 1998).
+    At the largest beta the optimum is near-deterministic, and the sweep
+    tracks the solution branch downward as clusters merge away
+    (deterministic annealing, Rose 1998). The grid is cut into segments of
+    _SEGMENT_OCTAVES octaves of beta, by a rule that reads only the grid, so
+    that the segments can be solved at once: they are dealt from a queue,
+    the top one first, to one worker per CPU (``workers.deal``), every solve
+    at one OpenBLAS thread (``workers.one_blas_thread``). So the frontier's
+    bytes depend neither on the core count nor on the BLAS thread count.
 
-    A single sweep shows hysteresis (Zaslavsky & Tishby, 2019): it crosses
+    A single chain shows hysteresis (Zaslavsky & Tishby, 2019): it crosses
     cluster-merge transitions late, and on sparse spaces it can keep words
     whose supports the update cannot merge, a metastable branch with F far
     above the optimum. Every recorded encoder j is feasible at every beta,
-    where its F is the line C_j - beta * A_j. So, going up the grid, a point
-    that the lowest line at its beta beats by more than F's rounding is
-    solved again from that line's encoder, and the result replaces it when
-    its F is lower; a repaired point's line can repair those above it.
-    Rounds repeat until none keeps a repair. Each kept repair lowers an F,
-    and a point is solved from one recorded encoder at most once, so the
-    repair ends whether or not its solves converge. Every solve is ``solve_at_beta`` from a recorded
-    encoder, so the frontier is that call chained down the grid from the
-    identity and then from the lines that beat a point.
+    where its F is the line C_j - beta * A_j. So, once every segment is in,
+    going up the grid, a point that the lowest line at its beta beats by
+    more than F's rounding is solved again from that line's encoder, and
+    the result replaces it when its F is lower; a repaired point's line can
+    repair those above it. Rounds repeat until none keeps a repair. Each
+    kept repair lowers an F, and a point is solved from one recorded encoder
+    at most once, so the repair ends whether or not its solves converge.
+    Every solve is ``solve_at_beta`` from a recorded encoder, so the
+    frontier is that call chained down each segment from the identity and
+    then from the lines that beat a point.
     """
     ws = _Workspace.for_space(space)
+    grid = config.beta_grid
     n_m = space.num_meanings
-    seed = NamingSystem(np.eye(n_m), tuple(f"w{i:03d}" for i in range(n_m)),
-                        space.meaning_labels)
-    points = []
-    for beta in reversed(config.beta_grid):
-        points.append(_fixed_point_loop(ws, seed, beta, config))
-        seed = points[-1].encoder
-    points.reverse()
-    c = np.array([p.complexity_bits for p in points])
-    a = np.array([p.accuracy_bits for p in points])
-    version = [0] * len(points)  # kept repairs of each point
-    tried = set()  # (point, seed point, its version) of each repair solve
-    repaired = True
-    while repaired:
-        repaired = False
-        for i, beta in enumerate(config.beta_grid):
-            j, low = _lowest_line(c, a, beta)
-            rounding = _F_SLACK * (abs(c[i]) + beta * abs(a[i]))
-            if points[i].objective_bits - low <= rounding or (i, j, version[j]) in tried:
-                continue
-            tried.add((i, j, version[j]))
-            cand = _fixed_point_loop(ws, points[j].encoder, beta, config)
-            if cand.objective_bits < points[i].objective_bits:
-                points[i] = cand
-                c[i], a[i] = cand.complexity_bits, cand.accuracy_bits
-                version[i] += 1
-                repaired = True
-    return Frontier(tuple(points), space.fingerprint, config)
+    identity = NamingSystem(np.eye(n_m), tuple(f"w{i:03d}" for i in range(n_m)),
+                            space.meaning_labels)
+
+    def chain(segment: range) -> tuple[list[FrontierPoint], float]:
+        """The points of one segment, in grid order, and its wall time."""
+        start = time.perf_counter()
+        seed, down = identity, []
+        for i in reversed(segment):
+            down.append(_fixed_point_loop(ws, seed, grid[i], config))
+            seed = down[-1].encoder
+        return down[::-1], time.perf_counter() - start
+
+    segments = _segments(grid)
+    workers = min(_cpu_count(), len(segments))
+    with one_blas_thread() as capped:
+        chains = deal(chain, segments, [f"sweep worker for betas {grid[s[0]]:.6g} to "
+                                        f"{grid[s[-1]]:.6g}" for s in segments], workers)
+        points = [p for down, _ in reversed(chains) for p in down]
+        start = time.perf_counter()
+        repairs = []  # evaluations of each repair solve
+        c = np.array([p.complexity_bits for p in points])
+        a = np.array([p.accuracy_bits for p in points])
+        version = [0] * len(points)  # kept repairs of each point
+        tried = set()  # (point, seed point, its version) of each repair solve
+        repaired = True
+        while repaired:
+            repaired = False
+            for i, beta in enumerate(grid):
+                j, low = _lowest_line(c, a, beta)
+                rounding = _F_SLACK * (abs(c[i]) + beta * abs(a[i]))
+                if points[i].objective_bits - low <= rounding or (i, j, version[j]) in tried:
+                    continue
+                tried.add((i, j, version[j]))
+                cand = _fixed_point_loop(ws, points[j].encoder, beta, config)
+                repairs.append(cand.iterations)
+                if cand.objective_bits < points[i].objective_bits:
+                    points[i] = cand
+                    c[i], a[i] = cand.complexity_bits, cand.accuracy_bits
+                    version[i] += 1
+                    repaired = True
+    sweep = {
+        "workers": workers,
+        "blas_capped": capped,
+        "segments": [{"betas": [grid[s[0]], grid[s[-1]]], "points": len(s),
+                      "evaluations": sum(p.iterations for p in down), "seconds": seconds}
+                     for s, (down, seconds) in zip(segments, chains)],
+        "repair_solves": len(repairs),
+        "repair_evaluations": sum(repairs),
+        "repair_seconds": time.perf_counter() - start,
+    }
+    return Frontier(tuple(points), space.fingerprint, config, sweep)
 
 
 def select_most_informative_with_k(frontier: Frontier, k: int) -> FrontierPoint:

@@ -81,6 +81,36 @@ def fixed_point_delta(space: MeaningSpace, point: FrontierPoint) -> float:
     return abs(s1.objective - s0.objective)
 
 
+def write_animal_instance(out: Path, n_classes: int = 60, n_features: int = 500,
+                          n_groups: int = 8, seed: int = 0) -> tuple[Path, Path]:
+    """An animal-shaped instance for ``make-space``: features.csv, where
+    each group of classes raises its own random block of features above a
+    small floor, and familiarity.csv. The defaults make products wide
+    enough (60 words at the top of the sweep, 500 features) that OpenBLAS
+    gives other bits under one and two threads."""
+    rng = np.random.default_rng(seed)
+    values = 0.02 + rng.uniform(-0.015, 0.015, (n_classes, n_features))
+    group = np.arange(n_classes) % n_groups
+    width = n_features // (n_groups + 2)
+    for g in range(n_groups):
+        cols = rng.choice(n_features, width, replace=False)
+        rows = np.flatnonzero(group == g)
+        values[np.ix_(rows, cols)] = rng.uniform(0.45, 0.95, (rows.size, width))
+    labels = [f"c{i:03d}" for i in range(n_classes)]
+    features, familiarity = out / "features.csv", out / "familiarity.csv"
+    with open(features, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["class", *(f"f{j:03d}" for j in range(n_features))])
+        writer.writerows([lab, *(repr(float(x)) for x in row)]
+                         for lab, row in zip(labels, np.round(values, 3)))
+    with open(familiarity, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["class_label", "score"])
+        writer.writerows([lab, repr(float(x))]
+                         for lab, x in zip(labels, np.round(rng.uniform(2, 9, n_classes), 2)))
+    return features, familiarity
+
+
 def rewrite_float_cells_as_repr(front: Path) -> None:
     """Rewrite the float cells of a saved frontier's CSVs as ``repr`` writes
     them, ``0.0`` and ``1.0`` included: the form frontiers were saved in

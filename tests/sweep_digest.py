@@ -7,14 +7,17 @@
 
 A digest file maps each grid (space, need, beta_max x num_betas, solver
 defaults) to the evaluations its frontier records, the number of repair
-solves (every solve after the primary pass down the grid, kept or not) and
-their evaluations, the evaluations of ``solve_at_beta`` chained down the
-grid from the identity, the unconverged points, the largest gap of a
-point's F above the lowest line C_j - beta A_j of any recorded point, C, A
-and effective_k per point, and the bytes and sha256 of the saved frontier
-files. ``--compare`` prints per grid the largest |dC| and |dA|, the largest
-rise of a point's F, the effective_k flips, the evaluations, the repair
-solves, the gaps and whether the hashes match, and exits 1 on a flip. With
+solves (every solve after the segments' chains down the grid, kept or not)
+and their evaluations, the evaluations of ``solve_at_beta`` chained down
+each segment from the identity, the unconverged points, the largest gap of
+a point's F above the lowest line C_j - beta A_j of any recorded point, C,
+A and effective_k per point, the bytes and sha256 of the saved frontier
+files, and the OpenBLAS kernel, whether the sweep's one-thread cap took
+effect and its worker count. ``--compare`` prints per grid the largest
+|dC| and |dA|, the largest rise of a point's F, the effective_k flips, the
+evaluations, the repair solves, the gaps and whether the hashes match, and
+exits 1 on a flip; it warns when the two digests come from different
+kernels, as an evaluation count means nothing without its kernel. With
 ``--identical`` it also exits 1 when a grid's hashes or evaluation counts
 differ: the gate of a change that must keep every bit.
 """
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 import ibnaming as ib
-from ibnaming import solver
+from ibnaming import solver, workers
 from ibnaming.frontier_io import frontier_files
 from ibnaming.ingest import read_prior_csv, read_space_csv
 
@@ -38,26 +41,16 @@ def digest(space_path: str, need: str, beta_max: float, num_betas: int) -> dict:
     space = ib.attach_need(space, ib.Distribution.uniform(space.meaning_labels)
                            if need == "uniform" else read_prior_csv(need))
     config = ib.SolverConfig(beta_grid=ib.default_beta_grid(beta_max, num_betas))
-    solves = []
-    solve = solver._fixed_point_loop
-
-    def counted(*args):
-        point = solve(*args)
-        solves.append(point.iterations)
-        return point
-
-    solver._fixed_point_loop = counted
-    try:
-        front = ib.anneal_frontier(space, config)
-    finally:
-        solver._fixed_point_loop = solve
+    front = ib.anneal_frontier(space, config)
     n = space.num_meanings
-    init = ib.NamingSystem.create(np.eye(n), tuple(f"w{i:03d}" for i in range(n)),
-                                  space.meaning_labels)
+    identity = ib.NamingSystem.create(np.eye(n), tuple(f"w{i:03d}" for i in range(n)),
+                                      space.meaning_labels)
     chain = 0
-    for beta in reversed(config.beta_grid):
-        point = ib.solve_at_beta(space, beta, init, config)
-        chain, init = chain + point.iterations, point.encoder
+    for segment in solver._segments(config.beta_grid):
+        init = identity
+        for i in reversed(segment):
+            point = ib.solve_at_beta(space, config.beta_grid[i], init, config)
+            chain, init = chain + point.iterations, point.encoder
     with tempfile.TemporaryDirectory() as tmp:
         ib.save_frontier(front, tmp)
         files = [(path.name.encode(), path.read_bytes()) for path in frontier_files(tmp)]
@@ -65,10 +58,12 @@ def digest(space_path: str, need: str, beta_max: float, num_betas: int) -> dict:
               for key in ("beta", "effective_k", "complexity_bits", "accuracy_bits")}
     c, a = np.array(column["complexity_bits"]), np.array(column["accuracy_bits"])
     gap = max(ci - b * ai - np.min(c - b * a) for b, ci, ai in zip(column["beta"], c, a))
-    repairs = solves[len(config.beta_grid):]
     return {"evaluations": sum(p.iterations for p in front.points),
-            "repair_solves": len(repairs), "repair_evaluations": sum(repairs),
+            "repair_solves": front.sweep["repair_solves"],
+            "repair_evaluations": front.sweep["repair_evaluations"],
             "chain_evaluations": chain,
+            "blas_kernel": workers.blas_kernel(), "blas_capped": front.sweep["blas_capped"],
+            "workers": front.sweep["workers"],
             "unconverged": sum(not p.converged for p in front.points),
             "envelope_gap_bits": float(gap), **column,
             "frontier_bytes": sum(len(data) for _, data in files),
@@ -83,6 +78,10 @@ def compare(before: dict, after: dict, identical: bool = False) -> int:
     failed = False
     for grid in sorted(before.keys() & after.keys()):
         a, b = before[grid], after[grid]
+        if a.get("blas_kernel") != b.get("blas_kernel"):
+            kernels = [d.get("blas_kernel") or "unrecorded" for d in (a, b)]
+            print(f"warning: {grid}: OpenBLAS kernels differ ({kernels[0]} -> {kernels[1]}), "
+                  f"so the evaluation counts are not comparable")
         dc, da = (float(np.max(np.abs(np.subtract(a[key], b[key]))))
                   for key in ("complexity_bits", "accuracy_bits"))
         betas = np.array(a["beta"])

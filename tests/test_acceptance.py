@@ -456,3 +456,13 @@ def test_sweep_digest_identical_gate(capsys):
                                                "complexity_bits": [0.0, 0.75]}})
     out = capsys.readouterr().out
     assert "max F rise 0.25," in out and "repair solves 1 -> 2 (3 -> 4 evaluations)" in out
+    assert "warning" not in out
+    # an evaluation count means nothing without its kernel: a warning, not a failure
+    kernel = {"g": grid | {"blas_kernel": "SkylakeX"}}
+    assert sweep_digest.compare(kernel, {"g": grid | {"blas_kernel": "Haswell"}}) == 0
+    assert sweep_digest.compare(before, kernel) == 0
+    assert capsys.readouterr().out.splitlines()[::2] == [
+        "warning: g: OpenBLAS kernels differ (SkylakeX -> Haswell), so the evaluation counts "
+        "are not comparable",
+        "warning: g: OpenBLAS kernels differ (unrecorded -> SkylakeX), so the evaluation counts "
+        "are not comparable"]

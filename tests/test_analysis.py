@@ -33,6 +33,7 @@ from ibnaming import (
     solve_at_beta,
 )
 from ibnaming import analysis
+from conftest import assert_no_child_left
 from helpers import identity_system, random_space, random_system
 
 
@@ -325,11 +326,6 @@ class TestStackedBaseline:
         assert abs(summary.gnid_sd - gn.std()) <= 1e-12
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class _Injected(Exception):
     pass
 
@@ -342,21 +338,6 @@ class TestForkedBaseline:
     def instance(self, rng):
         space = random_space(rng, 6, 5)
         return random_system(rng, space, 4), space, make_frontier(space, beta_max=16, num=25)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pids of the children forked during a test."""
-        pids = []
-        fork = os.fork
-
-        def counting_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        return pids
 
     # 11 samples in chunks of 2, 4, 6 and 12 samples: 6, 3, 2 and 1 chunks,
     # the last of each short

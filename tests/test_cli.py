@@ -3,6 +3,9 @@ import errno
 import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 import click
 from click.testing import CliRunner
 
-from ibnaming import IBNamingError, analysis
+from ibnaming import IBNamingError, analysis, solver, workers
 from ibnaming.cli import main
 from ibnaming.ingest import (
     _fmt,
@@ -21,6 +24,7 @@ from ibnaming.ingest import (
 )
 
 from conftest import FIXTURES
+from helpers import write_animal_instance
 
 
 @pytest.fixture
@@ -494,6 +498,33 @@ class TestExitCodes:
         assert lines[0] == ("Error: baseline worker for samples 2 to 3 failed: "
                             "MemoryError: injected")
 
+    @pytest.mark.parametrize("how, why", [
+        (lambda: (_ for _ in ()).throw(MemoryError("injected")), "MemoryError: injected"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+    ], ids=["raised", "killed"])
+    def test_failed_sweep_worker_exits_one(self, runner, tmp_path, monkeypatch, how, why):
+        space = tmp_path / "space.csv"
+        run_ok(runner, ["make-space", "--similarity", str(FIXTURES / "similarity.csv"),
+                        "--out", str(space)])
+        parent, solve = os.getpid(), solver._fixed_point_loop
+
+        def failing(*args):
+            if os.getpid() != parent:
+                how()
+            return solve(*args)
+
+        monkeypatch.setattr(solver, "_fixed_point_loop", failing)
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
+        result = runner.invoke(main, ["frontier", "--space", str(space), "--need", "uniform",
+                                      "--beta-max", "32", "--num-betas", "12",
+                                      "--out", str(tmp_path / "front")])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        # the child takes the second segment from the top, [1, 8) here
+        assert result.output.strip().splitlines() == [
+            f"Error: sweep worker for betas 1.00475 to 5.67029 failed: {why}"]
+        assert not (tmp_path / "front").exists()
+
     def test_failed_fork_names_no_file(self, runner, tmp_path, monkeypatch):
         # the OSError of a failed fork carries no filename
         paths = build_container_pipeline(runner, tmp_path, num_betas=12)
@@ -708,6 +739,46 @@ class TestDeterminism:
         run_ok(runner, args + ["--out", str(tmp_path / "f2")])
         assert self.read_tree(tmp_path / "f1") == self.read_tree(tmp_path / "f2")
 
+    def test_frontier_bytes_independent_of_blas_threads(self, tmp_path):
+        # OpenBLAS gives other bits for this instance's products under one and
+        # two threads, so the sweep's cap at one thread is what makes the
+        # outputs match, on a host with two or more cores
+        features, familiarity = write_animal_instance(tmp_path)
+        src = str(Path(solver.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+        def cli(*args, threads="1"):
+            subprocess.run([sys.executable, "-m", "ibnaming.cli", *map(str, args)],
+                           env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True,
+                           capture_output=True)
+
+        space, need = tmp_path / "space.csv", tmp_path / "need.csv"
+        cli("make-space", "--features", features, "--familiarity", familiarity,
+            "--out", space, "--need-out", need)
+        for threads in ("1", "2"):
+            cli("frontier", "--space", space, "--need", need, "--beta-max", 8192,
+                "--num-betas", 24, "--out", tmp_path / threads, threads=threads)
+        one, two = self.read_tree(tmp_path / "1"), self.read_tree(tmp_path / "2")
+        assert len(one) == 2 + 24 and one == two
+        assert max(int(r.split(",")[4]) for r in one["frontier.csv"].decode().split()[1:]) >= 12
+
+    def test_frontier_bytes_independent_of_worker_count(self, runner, tmp_path, monkeypatch,
+                                                        forks):
+        space = tmp_path / "space.csv"
+        run_ok(runner, ["make-space", "--similarity", str(FIXTURES / "similarity.csv"),
+                        "--out", str(space)])
+        trees = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(solver, "_cpu_count", lambda: cpus)
+            out = tmp_path / str(cpus)
+            run_ok(runner, ["frontier", "--space", str(space), "--need", "uniform",
+                            "--beta-max", "1024", "--num-betas", "30", "--out", str(out)])
+            assert json.loads((out / "manifest.json").read_text())["sweep"]["workers"] == cpus
+            trees.append(self.read_tree(out))
+        assert len(forks) == 0 + 1 + 2
+        assert trees[1] == trees[0] and trees[2] == trees[0]
+
     def test_baseline_byte_identical(self, runner, tmp_path):
         paths = build_container_pipeline(runner, tmp_path, num_betas=30)
         args = ["baseline", "--system", str(FIXTURES / "naming_a.tsv"),
@@ -833,3 +904,28 @@ class TestManifests:
             "frontier": fit["frontier"], "space": fit["space"], "need": fit["need"],
             "k": "1", "top_n": 5, "out_json": hout,
         }
+
+    def test_frontier_manifest_records_the_sweep(self, runner, tmp_path, monkeypatch):
+        paths = build_container_pipeline(runner, tmp_path, num_betas=12)
+        sweep = json.loads((paths["front"] / "manifest.json").read_text())["sweep"]
+        # 12 betas to 32 in [8, 32], [1, 8), [0.125, 1) and [0, 0.125), top first
+        assert [s["points"] for s in sweep["segments"]] == [3, 4, 3, 2]
+        assert [s["betas"] for s in sweep["segments"]][-1] == [0.0, 0.1]
+        assert sweep["workers"] == min(workers._cpu_count(), 4)
+        assert sweep["blas_capped"] == (workers._openblas() is not None)
+        assert all(s["evaluations"] >= s["points"] and s["seconds"] >= 0
+                   for s in sweep["segments"])
+        assert {"repair_solves", "repair_evaluations", "repair_seconds"} <= set(sweep)
+
+    def test_uncapped_sweep_says_so(self, runner, tmp_path, monkeypatch):
+        paths = build_container_pipeline(runner, tmp_path, num_betas=12)
+        monkeypatch.setattr(workers, "_openblas", lambda: None)
+        out = tmp_path / "uncapped"
+        run_ok(runner, ["frontier", "--space", str(paths["space"]), "--need", str(paths["prior"]),
+                        "--beta-max", "32", "--num-betas", "12", "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["sweep"]["blas_capped"] is False
+        assert any("uncapped" in note for note in manifest["notes"])
+        # the meta file and every output file carry no trace of the cap
+        for name in ("frontier.csv", "frontier_meta.json"):
+            assert (out / name).read_bytes() == (paths["front"] / name).read_bytes()

@@ -43,6 +43,7 @@ def sub_floor(rng, monkeypatch):
         return point(step, *args)
 
     monkeypatch.setattr(solver._Step, "point", recording)
+    monkeypatch.setattr(solver, "_cpu_count", lambda: 1)  # every solve in this process
     space = random_space(rng, 6, 8)
     front = anneal_frontier(space, SolverConfig(beta_grid=default_beta_grid(64.0, 20),
                                                 max_iterations=6000))

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 import weakref
 from types import SimpleNamespace
@@ -55,21 +56,27 @@ def sparse_space(seed: int) -> MeaningSpace:
 
 
 def replayed_sweep(space: MeaningSpace, config: SolverConfig):
-    """``anneal_frontier`` through public calls: ``solve_at_beta`` down the
-    grid from the identity, then rounds up the grid that solve each point
-    again from the encoder of the lowest recorded line at its beta, when that
-    line beats its F by more than F's rounding and the point was not solved
-    from that encoder before, keeping results with a lower F, until a round
-    keeps none. Returns the primary points, the final points and the number
-    of repair solves."""
+    """``anneal_frontier`` through public calls: ``solve_at_beta`` down each
+    segment of the grid from the identity at its top, a segment being the
+    betas of one floor(log2(beta) / 3) with beta = 0 in the lowest, then
+    rounds up the grid that solve each point again from the encoder of the
+    lowest recorded line at its beta, when that line beats its F by more
+    than F's rounding and the point was not solved from that encoder
+    before, keeping results with a lower F, until a round keeps none.
+    Returns the primary points, the final points and the number of repair
+    solves."""
     n = space.num_meanings
-    init = NamingSystem.create(np.eye(n), tuple(f"w{i:03d}" for i in range(n)),
-                               space.meaning_labels)
-    primary = []
-    for beta in reversed(config.beta_grid):
-        primary.append(solve_at_beta(space, beta, init, config))
-        init = primary[-1].encoder
-    primary.reverse()
+    identity = NamingSystem.create(np.eye(n), tuple(f"w{i:03d}" for i in range(n)),
+                                   space.meaning_labels)
+    grid = config.beta_grid
+    # frexp's exponent is floor(log2(beta)) + 1, exactly
+    segment = [(math.frexp(beta)[1] - 1) // 3 if beta > 0 else None for beta in grid]
+    segment[0] = segment[min(1, len(grid) - 1)]
+    primary = list(grid)
+    for i in reversed(range(len(grid))):
+        init = identity if i == len(grid) - 1 or segment[i] != segment[i + 1] else init
+        primary[i] = solve_at_beta(space, grid[i], init, config)
+        init = primary[i].encoder
     points, tried, kept = list(primary), [], True
     while kept:
         kept = False
@@ -392,6 +399,7 @@ class TestAnnealFrontier:
 
         monkeypatch.setattr(solver, "_plain_update", tracked_update)
         monkeypatch.setattr(solver, "_fixed_point_loop", tracked_solve)
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 1)  # every solve in this process
         grid = default_beta_grid(16, 6)
         anneal_frontier(random_space(rng, 4, 4), small_config(grid))
         assert refs and alive == [0] * len(grid)  # no point needs a repair
@@ -674,6 +682,7 @@ class TestFixedPoint:
             return point(step, *args)
 
         monkeypatch.setattr(solver._Step, "point", recording)
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 1)  # every solve in this process
         space = random_space(np.random.default_rng(0))
         anneal_frontier(space, SolverConfig(beta_grid=default_beta_grid(64, 15),
                                             max_iterations=6000))
@@ -747,6 +756,7 @@ class TestRoundOffBound:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_sweep_stops_as_with_the_exact_norm(self, rng, monkeypatch, sparse):
         seen = self.recording(monkeypatch)
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 1)  # every solve in this process
         anneal_frontier(random_space(rng, 8, 10, sparse=sparse),
                         small_config(default_beta_grid(64, 15)))
         assert all((res <= round_off) == (res <= exact) for res, round_off, _, exact, _ in seen)
